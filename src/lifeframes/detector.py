@@ -6,6 +6,11 @@ comparison.  Nothing is assumed from a name or a lookup table except
 in the emission census, where a small cluster is recognized by exact
 cell-set match against known ship phases and its velocity is still
 measured from its own sightings rather than copied from the catalog.
+
+The census keeps its board as the engine's sorted packed keys for the
+whole horizon: it steps them with the vectorized evolver and splits
+them into bodies with a vectorized component pass, so no generation
+is unpacked into Python cell sets.
 """
 
 from __future__ import annotations
@@ -13,10 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .engine import (
+    _FIELD,
+    _FIELD_BITS,
     Cell,
+    CoordinateOverflowError,
     EmptyPatternError,
     Pattern,
+    _check_headroom,
+    _evolve_np,
+    _pack,
+    _packed_origin,
     bounding_box,
     canonicalize,
     population,
@@ -39,11 +53,17 @@ DEFAULT_MAX_EXTENT = 10_000
 # Chebyshev distance 2 is the merge radius: two cells that far apart
 # can still feed the same dead neighbor, so their clusters are one
 # causal body for the next step.
-_MERGE_OFFSETS = tuple(
-    (dx, dy)
-    for dx in range(-2, 3)
-    for dy in range(-2, 3)
-    if (dx, dy) != (0, 0)
+_MERGE_RADIUS = 2
+# The forward half of that neighborhood as packed-key offsets: each
+# merging pair is found once, from its smaller key.
+_FORWARD_MERGE_OFFSETS = np.array(
+    [
+        dx * _FIELD + dy
+        for dx in range(_MERGE_RADIUS + 1)
+        for dy in range(-_MERGE_RADIUS, _MERGE_RADIUS + 1)
+        if dx > 0 or dy > 0
+    ],
+    dtype=np.int64,
 )
 
 
@@ -155,37 +175,6 @@ def detect_ship(
     return None
 
 
-def _clusters(cells: frozenset[Cell]) -> list[frozenset[Cell]]:
-    """Partition live cells into bodies merged within Chebyshev 2."""
-    seen: set[Cell] = set()
-    out: list[frozenset[Cell]] = []
-    for start in cells:
-        if start in seen:
-            continue
-        frontier = [start]
-        seen.add(start)
-        member: list[Cell] = []
-        while frontier:
-            x, y = frontier.pop()
-            member.append((x, y))
-            for dx, dy in _MERGE_OFFSETS:
-                nb = (x + dx, y + dy)
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        out.append(frozenset(member))
-    return out
-
-
-def _normalize(cluster: frozenset[Cell]) -> tuple[frozenset[Cell], Cell]:
-    min_x = min(x for x, _ in cluster)
-    min_y = min(y for _, y in cluster)
-    return (
-        frozenset((x - min_x, y - min_y) for x, y in cluster),
-        (min_x, min_y),
-    )
-
-
 def _box_gap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> int:
     """Chebyshev distance between two bounding boxes (0 when touching)."""
     gap_x = max(a[0] - b[2], b[0] - a[2], 0)
@@ -193,17 +182,32 @@ def _box_gap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> int:
     return max(gap_x, gap_y)
 
 
-def _union_box(
-    boxes: list[tuple[int, int, int, int]]
-) -> tuple[int, int, int, int] | None:
-    if not boxes:
-        return None
-    return (
-        min(b[0] for b in boxes),
-        min(b[1] for b in boxes),
-        max(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
+def _component_labels(keys: np.ndarray) -> np.ndarray:
+    """Label each sorted key with the first index of its body.
+
+    Cells within Chebyshev distance 2 are joined: one searchsorted
+    finds every pair at a forward merge offset, then every root is
+    hooked to the smallest root it touches and pointer jumping
+    flattens the trees, until no joined pair carries two labels.
+    """
+    n = keys.size
+    targets = (keys[None, :] + _FORWARD_MERGE_OFFSETS[:, None]).ravel()
+    found = np.minimum(np.searchsorted(keys, targets), n - 1)
+    hit = np.flatnonzero(keys[found] == targets)
+    src, dst = hit % n, found[hit]
+    labels = np.arange(n)
+    while True:
+        a, b = labels[src], labels[dst]
+        differ = a != b
+        if not differ.any():
+            return labels
+        src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 @dataclass
@@ -211,12 +215,17 @@ class _PhaseEntry:
     """One canonical ship phase with its per-step anchor motion."""
 
     report: ShipReport
-    phase_index: int
+    extent: Cell
     step_offset: Cell
-    next_cells: frozenset[Cell]
+    next_shape: bytes
 
 
-def _phase_entries(report: ShipReport) -> list[tuple[frozenset[Cell], _PhaseEntry]]:
+def _shape_key(cells: frozenset[Cell]) -> bytes:
+    """A canonical shape as the bytes of its sorted packed keys."""
+    return _pack(cells, (0, 0)).tobytes()
+
+
+def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     """Walk one full period of a ship and record each phase's step.
 
     The walk re-derives, with the engine itself, where each phase's
@@ -243,10 +252,63 @@ def _phase_entries(report: ShipReport) -> list[tuple[frozenset[Cell], _PhaseEntr
             anchors[i + 1][0] - anchors[i][0],
             anchors[i + 1][1] - anchors[i][1],
         )
-        out.append(
-            (shapes[i], _PhaseEntry(report, i, delta, shapes[(i + 1) % report.period]))
-        )
+        extent = bounding_box(report.phases[i])[2:]
+        next_shape = _shape_key(shapes[(i + 1) % report.period])
+        out.append((_shape_key(shapes[i]), _PhaseEntry(report, extent, delta, next_shape)))
     return out
+
+
+def _sightings(
+    keys: np.ndarray, table: dict[int, dict[bytes, _PhaseEntry]]
+) -> tuple[dict[tuple[bytes, Cell], _PhaseEntry], tuple[int, int, int, int] | None]:
+    """Split one generation's packed board into bodies.
+
+    Returns the bodies that match a catalog phase, keyed by shape and
+    box corner, and the union box of all the other bodies (None when
+    there are none).  Only bodies with as many cells as some catalog
+    phase are looked up, one batch per size.
+    """
+    matched: dict[tuple[bytes, Cell], _PhaseEntry] = {}
+    if keys.size == 0:
+        return matched, None
+    labels = _component_labels(keys)
+    order = np.argsort(labels, kind="stable")
+    grouped = keys[order]
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
+    )
+    sizes = np.diff(np.append(starts, keys.size))
+    # Keys sort x-major, so a body's first and last keys hold its x
+    # range; its y range needs a reduction.
+    xs = grouped >> _FIELD_BITS
+    ys = grouped & (_FIELD - 1)
+    min_x, max_x = xs[starts], xs[starts + sizes - 1]
+    min_y = np.minimum.reduceat(ys, starts)
+    max_y = np.maximum.reduceat(ys, starts)
+    is_body = np.ones(starts.size, dtype=bool)
+    for size, by_shape in table.items():
+        picked = np.flatnonzero(sizes == size)
+        if picked.size == 0:
+            continue
+        corner = (min_x[picked] << _FIELD_BITS) + min_y[picked]
+        rows = grouped[starts[picked, None] + np.arange(size)] - corner[:, None]
+        shapes = rows.view(f"V{8 * size}").ravel().tolist()
+        for i, shape, x, y in zip(
+            picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
+        ):
+            entry = by_shape.get(shape)
+            if entry is not None:
+                matched[(shape, (x, y))] = entry
+                is_body[i] = False
+    if not is_body.any():
+        return matched, None
+    return matched, (
+        int(min_x[is_body].min()),
+        int(min_y[is_body].min()),
+        int(max_x[is_body].max()),
+        int(max_y[is_body].max()),
+    )
 
 
 @dataclass
@@ -276,6 +338,12 @@ def detect_emissions(
     number of periods later, strictly farther from the non-matching
     main body than at first sighting.  Velocity is the measured anchor
     shift divided by the elapsed generations.
+
+    The board runs on packed keys, which hold the extent plus
+    2 x (horizon + 2) cells on a side (the 2 is the merge radius).  A
+    board wider than 2**31 minus that slack raises
+    CoordinateOverflowError before the first generation, as does one
+    whose run could leave the signed 64-bit coordinate range.
     """
     ships = [r for r in catalog if r.kind == "ship"]
     if not ships:
@@ -286,13 +354,22 @@ def detect_emissions(
             f"horizon {horizon} is shorter than the shortest catalog "
             f"period {shortest}, so no sighting can be confirmed"
         )
+    _check_headroom(p, horizon)
+    origin = _packed_origin(p, horizon + _MERGE_RADIUS)
+    if origin is None:
+        raise CoordinateOverflowError(
+            f"board extent plus 2 x {horizon + _MERGE_RADIUS} generations "
+            f"does not fit the census's {_FIELD_BITS}-bit packed fields"
+        )
 
-    table: dict[frozenset[Cell], _PhaseEntry] = {}
+    # Per phase size, the phases of that many cells keyed by shape.
+    table: dict[int, dict[bytes, _PhaseEntry]] = {}
     for report in ships:
         for shape, entry in _phase_entries(report):
-            known = table.get(shape)
+            by_shape = table.setdefault(len(shape) // 8, {})
+            known = by_shape.get(shape)
             if known is None:
-                table[shape] = entry
+                by_shape[shape] = entry
             elif (
                 known.report.period != entry.report.period
                 or known.report.displacement != entry.report.displacement
@@ -301,25 +378,14 @@ def detect_emissions(
 
     events: list[EmissionEvent] = []
     tracks: list[_Track] = []
-    q = p
+    keys = _pack(p.cells, origin)
     for generation in range(horizon + 1):
-        matched: dict[tuple[frozenset[Cell], Cell], _PhaseEntry] = {}
-        body_boxes = []
-        for cluster in _clusters(q.cells):
-            shape, anchor = _normalize(cluster)
-            entry = table.get(shape)
-            if entry is not None:
-                matched[(shape, anchor)] = entry
-            else:
-                xs = [x for x, _ in cluster]
-                ys = [y for _, y in cluster]
-                body_boxes.append((min(xs), min(ys), max(xs), max(ys)))
-        body = _union_box(body_boxes)
+        matched, body = _sightings(keys, table)
 
         surviving: list[_Track] = []
         for track in tracks:
             dx, dy = track.entry.step_offset
-            key = (track.entry.next_cells, (track.anchor[0] + dx, track.anchor[1] + dy))
+            key = (track.entry.next_shape, (track.anchor[0] + dx, track.anchor[1] + dy))
             entry = matched.pop(key, None)
             if entry is None:
                 continue
@@ -332,7 +398,7 @@ def detect_emissions(
             if elapsed == 0 or elapsed % track.entry.report.period:
                 continue
             if body is not None and track.first_gap is not None:
-                w, h = _cluster_extent(key[0])
+                w, h = entry.extent
                 here = (
                     track.anchor[0],
                     track.anchor[1],
@@ -351,7 +417,10 @@ def detect_emissions(
                     birth_generation=track.first_generation,
                     ship=track.entry.report,
                     ground_velocity=velocity,
-                    first_sighting=track.first_anchor,
+                    first_sighting=(
+                        track.first_anchor[0] + origin[0],
+                        track.first_anchor[1] + origin[1],
+                    ),
                 )
             )
         tracks = surviving
@@ -359,7 +428,7 @@ def detect_emissions(
         for (shape, anchor), entry in matched.items():
             gap = None
             if body is not None:
-                w, h = _cluster_extent(shape)
+                w, h = entry.extent
                 gap = _box_gap((anchor[0], anchor[1], anchor[0] + w, anchor[1] + h), body)
             tracks.append(
                 _Track(
@@ -371,12 +440,8 @@ def detect_emissions(
                 )
             )
 
-        if generation < horizon:
-            q = step(q)
+        if generation < horizon and keys.size:
+            keys = _evolve_np(keys)
 
     events.sort(key=lambda e: (e.birth_generation, e.first_sighting))
     return events
-
-
-def _cluster_extent(shape: frozenset[Cell]) -> tuple[int, int]:
-    return max(x for x, _ in shape), max(y for _, y in shape)

@@ -2,17 +2,20 @@
 
 Live cells are kept as a frozenset of (x, y) integer pairs, x growing
 rightward and y growing downward.  ``step`` is a plain sparse
-neighbor-count pass in Python; ``step_n`` switches to a vectorized
-numpy stepper over packed 64-bit keys whenever the whole run provably
-fits inside a +/- 2**30 coordinate window, which it does for anything
-short of astronomical.  Both paths produce bit-identical cell sets.
+neighbor-count pass in Python.  ``step_n`` runs a vectorized numpy
+stepper over sorted 64-bit keys that pack each cell's coordinates
+relative to the bounding-box corner, so the packed path is chosen by
+extent alone: it serves any run whose extent plus twice its length
+fits a 31-bit field, wherever the board sits.  The emission census
+keeps its board in the same keys for its whole horizon.  Only boards
+wider than that fall back to the Python pass.  Both paths produce
+bit-identical cell sets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -35,16 +38,15 @@ Cell = tuple[int, int]
 COORD_MIN = -(2**63)
 COORD_MAX = 2**63 - 1
 
-# Window for the vectorized path: 31-bit packed fields, one cell of
-# neighbor slack.
-_FAST_OFF = 1 << 30
-_FAST_LIMIT = _FAST_OFF - 2
-_FAST_W = 1 << 31
+# Packed keys hold x * _FIELD + y, both relative to an origin, in two
+# 31-bit fields.
+_FIELD_BITS = 31
+_FIELD = 1 << _FIELD_BITS
 
 _NEIGHBOR_OFFSETS = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy
 )
-_PACKED_OFFSETS = tuple(dx * _FAST_W + dy for dx, dy in _NEIGHBOR_OFFSETS)
+_PACKED_OFFSETS = tuple(dx * _FIELD + dy for dx, dy in _NEIGHBOR_OFFSETS)
 _PACKED_OFFSETS_NP = np.array(_PACKED_OFFSETS, dtype=np.int64)
 
 
@@ -62,10 +64,6 @@ class Pattern:
 
     cells: frozenset[Cell] = field(default_factory=frozenset)
     generation: int = 0
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Cell], generation: int = 0) -> "Pattern":
-        return cls(frozenset((int(x), int(y)) for x, y in cells), generation)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -147,18 +145,25 @@ def step(p: Pattern) -> Pattern:
     return Pattern(_evolve_py(p.cells), p.generation + 1)
 
 
-def _fits_fast_window(p: Pattern, generations: int) -> bool:
+def _packed_origin(p: Pattern, generations: int) -> Cell | None:
+    """Origin for packing p over the next generations, or None if too wide.
+
+    The origin is the bounding-box corner moved back by generations, so
+    every cell and neighbor the run can touch packs without carry
+    exactly when the extent plus 2 x generations fits one field.
+    """
     if not p.cells:
-        return True
+        return 0, 0
     min_x, min_y, max_x, max_y = bounding_box(p)
-    lo = min(min_x, min_y) - generations
-    hi = max(max_x, max_y) + generations
-    return -_FAST_LIMIT < lo and hi < _FAST_LIMIT
+    if max(max_x - min_x, max_y - min_y) + 1 + 2 * generations > _FIELD:
+        return None
+    return min_x - generations, min_y - generations
 
 
-def _pack(cells: frozenset[Cell]) -> np.ndarray:
+def _pack(cells: frozenset[Cell], origin: Cell) -> np.ndarray:
+    ox, oy = origin
     keys = np.fromiter(
-        ((x + _FAST_OFF) * _FAST_W + (y + _FAST_OFF) for x, y in cells),
+        ((x - ox) * _FIELD + (y - oy) for x, y in cells),
         dtype=np.int64,
         count=len(cells),
     )
@@ -166,9 +171,9 @@ def _pack(cells: frozenset[Cell]) -> np.ndarray:
     return keys
 
 
-def _unpack(keys: np.ndarray) -> frozenset[Cell]:
-    xs = (keys >> 31) - _FAST_OFF
-    ys = (keys & (_FAST_W - 1)) - _FAST_OFF
+def _unpack(keys: np.ndarray, origin: Cell) -> frozenset[Cell]:
+    xs = (keys >> _FIELD_BITS) + origin[0]
+    ys = (keys & (_FIELD - 1)) + origin[1]
     return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
@@ -190,13 +195,14 @@ def step_n(p: Pattern, n: int) -> Pattern:
     if not p.cells:
         return Pattern(p.cells, p.generation + n)
 
-    if _fits_fast_window(p, n):
-        keys = _pack(p.cells)
+    origin = _packed_origin(p, n)
+    if origin is not None:
+        keys = _pack(p.cells, origin)
         for _ in range(n):
             if keys.size == 0:
                 break
             keys = _evolve_np(keys)
-        return Pattern(_unpack(keys), p.generation + n)
+        return Pattern(_unpack(keys, origin), p.generation + n)
 
     cells = p.cells
     for _ in range(n):

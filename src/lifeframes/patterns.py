@@ -30,6 +30,11 @@ CANONICAL_RULE = "B3/S23"
 # Values a run count may take: non-negative 32-bit.
 _MAX_RUN = 2**32 - 1
 
+# Live cells one RLE document may hold.  A run is checked against it
+# before any of its cells are added, so a huge declared run fails at
+# once instead of filling memory one cell at a time.
+_MAX_CELLS = 1 << 22
+
 # Accepted spellings of the one supported rule.
 _RULE_ALIASES = {"B3/S23", "S23/B3", "23/3"}
 
@@ -167,6 +172,10 @@ def parse_rle(text: str) -> PatternDocument:
                         f"body exceeds declared {width}x{height} bounds", *pos
                     )
                 if ch == "o":
+                    if len(cells) + run > _MAX_CELLS:
+                        raise PatternFormatError(
+                            f"more than {_MAX_CELLS} live cells", *pos
+                        )
                     for i in range(run):
                         cells.add((x + i, y))
                 x += run

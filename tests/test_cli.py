@@ -68,6 +68,13 @@ class TestRun:
         assert code == 2
         assert "error:" in err
 
+    def test_cell_bomb_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "bomb.rle"
+        path.write_text("x = 4294967295, y = 1, rule = B3/S23\n4294967295o!\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert "live cells" in err
+
     def test_malformed_rle(self, capsys, tmp_path):
         path = tmp_path / "bad.rle"
         path.write_text("x = 2, y = 2, rule = B3/S23\n3o!\n")
@@ -239,6 +246,14 @@ class TestEmissions:
             "vx=1/4",
             "vy=1/4",
         ]
+
+    def test_board_too_wide_for_the_census(self, capsys, tmp_path):
+        path = tmp_path / "wide.rle"
+        path.write_text("x = 2147483648, y = 1, rule = B3/S23\no2147483646bo!\n")
+        code, out, err = run_cli(capsys, "emissions", str(path), "--horizon", "4")
+        assert code == 1
+        assert "packed fields" in err
+        assert out == ""
 
     def test_comoving_reconstruction(self, capsys, tmp_path):
         path = tmp_path / "gun.rle"

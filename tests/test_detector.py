@@ -1,16 +1,29 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cluster_reference import clusters
 from lifeframes.catalog import catalog_pattern, ship_catalog
 from lifeframes.detector import (
     EmissionEvent,
     ExplosiveGrowthError,
     ShipReport,
+    _component_labels,
     detect_emissions,
     detect_ship,
 )
-from lifeframes.engine import EmptyPatternError, Pattern, step_n
+from lifeframes.engine import (
+    CoordinateOverflowError,
+    EmptyPatternError,
+    Pattern,
+    _pack,
+    _packed_origin,
+    _unpack,
+    step_n,
+    translate,
+)
 
 R_PENTOMINO = Pattern(frozenset({(1, 0), (2, 0), (0, 1), (1, 1), (1, 2)}))
 
@@ -90,6 +103,52 @@ class TestDetectShip:
         assert detect_ship(lonely) is None
 
 
+# Offsets at Chebyshev distance exactly 2 (still merged) and 3 (apart).
+MERGE_EDGE_OFFSETS = [
+    (dx, dy)
+    for dx in range(-3, 4)
+    for dy in range(-3, 4)
+    if max(abs(dx), abs(dy)) in (2, 3)
+]
+
+
+@st.composite
+def merge_edge_cells(draw):
+    """Random cells around the origin plus pairs at distance 2 or 3."""
+    coord = st.integers(-20, 20)
+    loose = draw(st.frozensets(st.tuples(coord, coord), min_size=1, max_size=40))
+    pairs = draw(
+        st.lists(st.tuples(coord, coord, st.sampled_from(MERGE_EDGE_OFFSETS)), max_size=12)
+    )
+    return (
+        loose
+        | {(x, y) for x, y, _ in pairs}
+        | {(x + dx, y + dy) for x, y, (dx, dy) in pairs}
+    )
+
+
+class TestComponentLabels:
+    @given(merge_edge_cells())
+    @settings(max_examples=200)
+    def test_partition_matches_the_reference(self, cells):
+        origin = _packed_origin(Pattern(cells), 2)
+        keys = _pack(cells, origin)
+        labels = _component_labels(keys)
+        bodies = {
+            _unpack(keys[labels == label], origin) for label in set(labels.tolist())
+        }
+        assert bodies == set(clusters(cells))
+        for label in set(labels.tolist()):
+            assert label == (labels == label).argmax()
+
+    def test_pair_at_distance_two_merges_and_three_does_not(self):
+        for gap, count in ((2, 1), (3, 2)):
+            for dy in range(-gap, gap + 1):
+                cells = frozenset({(0, 0), (gap, dy)})
+                keys = _pack(cells, _packed_origin(Pattern(cells), 2))
+                assert len(set(_component_labels(keys).tolist())) == count
+
+
 class TestEmissionEvent:
     def test_ground_velocity_is_light_bounded(self):
         ship = detect_ship(catalog_pattern("glider"))
@@ -147,6 +206,20 @@ class TestDetectEmissions:
         wall = {(x + 20, y + 20) for (x, y) in catalog_pattern("block").cells}
         scene = Pattern(frozenset(glider.cells | wall))
         assert detect_emissions(scene, 12, ships) == []
+
+    def test_census_holds_extent_plus_twice_horizon_plus_merge_slack(self, ships):
+        glider = catalog_pattern("glider")
+        horizon = 8
+        # The packed fields hold 2**31 cells a side: the board's extent
+        # plus 2 x (horizon + merge radius 2).
+        fits = 2**31 - 2 * (horizon + 2) - 3
+        scene = Pattern(glider.cells | translate(glider, fits, 0).cells)
+        events = detect_emissions(scene, horizon, ships)
+        assert [e.first_sighting for e in events] == [(0, 0), (fits, 0)]
+
+        wide = Pattern(glider.cells | translate(glider, fits + 1, 0).cells)
+        with pytest.raises(CoordinateOverflowError, match="packed fields"):
+            detect_emissions(wide, horizon, ships)
 
     def test_horizon_shorter_than_any_period(self, ships):
         with pytest.raises(ValueError, match="shorter"):

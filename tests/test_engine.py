@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import evolve_dense
+from lifeframes import engine
 from lifeframes.engine import (
     COORD_MAX,
     CoordinateOverflowError,
@@ -111,6 +112,52 @@ def test_far_coordinates_still_evolve():
     assert step_n(far, 4).cells == translate(
         Pattern(GLIDER), 2**40 + 1, -(2**40) + 1
     ).cells
+
+
+CORNERS = [(0, 0), (-(2**40), 7), (2**40, -(2**40))]
+
+
+def _two_gliders(gap: int, axis: int, corner: tuple[int, int], cells=GLIDER) -> set:
+    """Glider cells at corner and gap cells further along axis (0 = x, 1 = y)."""
+    x0, y0 = corner
+    sx, sy = (gap, 0) if axis == 0 else (0, gap)
+    return {(x + x0 + k * sx, y + y0 + k * sy) for x, y in cells for k in (0, 1)}
+
+
+def _dense_two_gliders(gap: int, axis: int, corner: tuple[int, int], n: int) -> set:
+    """Each glider evolved alone on the dense grid, then put back in place."""
+    return _two_gliders(gap, axis, corner, evolve_dense(GLIDER, n))
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} should not run")
+
+    monkeypatch.setattr(engine, name, forbidden)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_board_wider_than_the_fields_takes_the_python_path(monkeypatch, axis, corner):
+    _forbid(monkeypatch, "_evolve_np")
+    gap, n = 2**31, 8
+    board = Pattern(frozenset(_two_gliders(gap, axis, corner)))
+    assert step_n(board, n).cells == _dense_two_gliders(gap, axis, corner, n)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_board_at_the_edge_of_the_extent_window(monkeypatch, n, axis, corner):
+    # The board is gap + 3 wide, so extent plus 2 x generations exactly
+    # fills a 2**31-cell field; one more cell sends it to Python.
+    gap = 2**31 - 2 * n - 3
+    for width, unused in ((gap, "_evolve_py"), (gap + 1, "_evolve_np")):
+        board = Pattern(frozenset(_two_gliders(width, axis, corner)))
+        with monkeypatch.context() as patched:
+            _forbid(patched, unused)
+            got = step_n(board, n).cells
+        assert got == _dense_two_gliders(width, axis, corner, n)
 
 
 @given(cells_strategy())

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lifeframes import patterns
 from lifeframes.engine import Pattern, translate
 from lifeframes.patterns import (
     PatternDocument,
@@ -73,6 +76,18 @@ class TestParseRle:
     def test_run_count_overflow(self):
         with pytest.raises(PatternFormatError, match="32 bits"):
             parse_rle("x = 2, y = 1, rule = B3/S23\n99999999999o!\n")
+
+    def test_huge_declared_run_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(PatternFormatError, match="live cells"):
+            parse_rle("x = 4294967295, y = 1, rule = B3/S23\n4294967295o!\n")
+        assert time.perf_counter() - start < 0.1
+
+    def test_cell_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_MAX_CELLS", 6)
+        assert len(parse_rle("x = 7, y = 2, rule = B3/S23\n3o$3o!\n").cells) == 6
+        with pytest.raises(PatternFormatError, match="line 2, column 8"):
+            parse_rle("x = 7, y = 2, rule = B3/S23\n3o$3bo3o!\n")
 
     def test_row_overrun(self):
         with pytest.raises(PatternFormatError, match="bounds"):
