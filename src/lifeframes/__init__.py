@@ -9,7 +9,6 @@ checked against what the board actually does.
 from .catalog import CATALOG, CatalogEntry, catalog_pattern, gun_battery, ship_catalog
 from .detector import (
     EmissionEvent,
-    ExplosiveGrowthError,
     ShipReport,
     detect_emissions,
     detect_ship,
@@ -17,6 +16,7 @@ from .detector import (
 from .engine import (
     CoordinateOverflowError,
     EmptyPatternError,
+    ExplosiveGrowthError,
     Pattern,
     bounding_box,
     canonicalize,

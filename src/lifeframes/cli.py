@@ -12,9 +12,9 @@ usage and file-format errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,10 +25,8 @@ from .catalog import (
     named_ship_catalog,
 )
 from .detector import (
-    DEFAULT_MAX_EXTENT,
     DEFAULT_POPULATION_FACTOR,
     EmissionEvent,
-    ExplosiveGrowthError,
     ShipReport,
     detect_emissions,
     detect_ship,
@@ -36,7 +34,7 @@ from .detector import (
 from .engine import (
     CoordinateOverflowError,
     EmptyPatternError,
-    Pattern,
+    ExplosiveGrowthError,
     bounding_box,
     population,
     step_n,
@@ -54,33 +52,9 @@ from .kinematics import (
 from .patterns import PatternDocument, PatternFormatError, emit_rle, parse_auto
 from .tokens import ScheduleError, exhaustive_check
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXPLOSION_FACTOR_ENV = "LIFEFRAMES_EXPLOSION_FACTOR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Limits and output shape shared by the subcommands."""
-
-    generations: int = 0
-    max_period: int = 64
-    horizon: int = 300
-    explosion_factor: float = DEFAULT_POPULATION_FACTOR
-    max_extent: int = DEFAULT_MAX_EXTENT
-    output_format: str = "table"
-
-    def __post_init__(self):
-        if self.generations < 0:
-            raise ValueError("generations must be non-negative")
-        if self.max_period < 1 or self.horizon < 1:
-            raise ValueError("limits must be positive")
-        if self.explosion_factor <= 0:
-            raise ValueError("explosion factor must be positive")
-
-    @property
-    def machine(self) -> bool:
-        return self.output_format == "machine"
 
 
 class UsageError(Exception):
@@ -139,49 +113,34 @@ def _load_document(path: str) -> PatternDocument:
         raise UsageError(f"{path}: {exc}")
 
 
-def _explosion_factor_default() -> float:
-    raw = os.environ.get(EXPLOSION_FACTOR_ENV)
+def _explosion_factor(flag: str | None) -> float:
+    """The population bound: the flag, else the environment, else the default."""
+    source, raw = "--explosion-factor", flag
+    if raw is None:
+        source, raw = EXPLOSION_FACTOR_ENV, os.environ.get(EXPLOSION_FACTOR_ENV)
     if raw is None:
         return DEFAULT_POPULATION_FACTOR
     try:
         value = float(raw)
     except ValueError:
-        raise UsageError(f"{EXPLOSION_FACTOR_ENV}={raw!r} is not a number")
-    if value <= 0:
-        raise UsageError(f"{EXPLOSION_FACTOR_ENV} must be positive")
+        value = math.nan
+    # Every comparison with nan is false, so nan is refused here too.
+    if not 0 < value < math.inf:
+        raise UsageError(f"{source} must be a finite number above 0, not {raw!r}")
     return value
 
 
-def _evolve_with_bound(p: Pattern, generations: int, factor: float) -> Pattern:
-    """step_n in slices, refusing runs whose population explodes."""
-    limit = max(population(p), 1) * factor
-    done = 0
-    q = p
-    while done < generations:
-        take = min(256, generations - done)
-        q = step_n(q, take)
-        done += take
-        if population(q) > limit:
-            raise ExplosiveGrowthError(
-                f"population {population(q)} exceeds {factor} x initial "
-                f"{population(p)} at generation {done}",
-                done,
-                population(q),
-            )
-    return q
-
-
-def cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args.pattern)
-    evolved = _evolve_with_bound(
-        doc.to_pattern(), config.generations, config.explosion_factor
+    evolved = step_n(
+        doc.to_pattern(), args.gens, population_factor=args.explosion_factor
     )
     text = emit_rle(PatternDocument.from_pattern(evolved, doc.name, doc.comments))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
-    if config.machine:
+    if args.format == "machine":
         print(f"generation={evolved.generation}")
         print(f"population={population(evolved)}")
         if evolved.cells:
@@ -201,22 +160,19 @@ def cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_detect(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_detect(args: argparse.Namespace) -> int:
     doc = _load_document(args.pattern)
     report = detect_ship(
-        doc.to_pattern(),
-        config.max_period,
-        population_factor=config.explosion_factor,
-        max_extent=config.max_extent,
+        doc.to_pattern(), args.max_period, population_factor=args.explosion_factor
     )
     if report is None:
-        if config.machine:
+        if args.format == "machine":
             print("periodic=no")
         else:
-            print(f"not periodic within {config.max_period} generations")
+            print(f"not periodic within {args.max_period} generations")
         return 0
     vx, vy = report.velocity
-    if config.machine:
+    if args.format == "machine":
         print("periodic=yes")
         print(f"kind={report.kind}")
         print(f"period={report.period}")
@@ -242,7 +198,7 @@ def _three_law_rows(v1: Fraction, v2x: Fraction) -> list[tuple[str, Fraction]]:
     ]
 
 
-def cmd_compose(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_compose(args: argparse.Namespace) -> int:
     v1, v2x, v2y = args.v1, args.v2x, args.v2y
     if args.law == "life":
         if v2y == 0 and 0 <= v2x <= 1:
@@ -264,7 +220,7 @@ def cmd_compose(args: argparse.Namespace, config: RunConfig) -> int:
         scalar = galilean(v1, v2x)
 
     lines: list[str] = []
-    if config.machine:
+    if args.format == "machine":
         lines.append(f"law={args.law}")
         if args.law == "life":
             lines.append(f"v12x={_mfrac(v12.vx)}")
@@ -302,7 +258,7 @@ def cmd_compose(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_catalog(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_catalog(args: argparse.Namespace) -> int:
     if args.emit:
         try:
             e = catalog_entry(args.emit)
@@ -312,7 +268,7 @@ def cmd_catalog(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
     for e in CATALOG:
         cells = population(catalog_pattern(e.name))
-        if config.machine:
+        if args.format == "machine":
             line = f"name={e.name} population={cells}"
             if e.expected:
                 period, (dx, dy) = e.expected
@@ -337,7 +293,7 @@ def _check(ok: bool, label: str, detail: str) -> Check:
     return ok, f"{label}: {detail}"
 
 
-def _suite_catalog(config: RunConfig) -> list[Check]:
+def _suite_catalog() -> list[Check]:
     out = []
     for e in CATALOG:
         if e.expected is None:
@@ -358,7 +314,7 @@ def _suite_catalog(config: RunConfig) -> list[Check]:
     return out
 
 
-def _suite_parallel(config: RunConfig) -> list[Check]:
+def _suite_parallel() -> list[Check]:
     half, two_fifths = Fraction(1, 2), Fraction(2, 5)
     cs = [
         (compose_parallel(half, half), Fraction(3, 4), "compose(1/2,1/2)"),
@@ -372,7 +328,7 @@ def _suite_parallel(config: RunConfig) -> list[Check]:
     ]
 
 
-def _suite_oblique(config: RunConfig) -> tuple[list[Check], list[str]]:
+def _suite_oblique() -> tuple[list[Check], list[str]]:
     quarter = Fraction(1, 4)
     result = compose_oblique(quarter, Velocity2(0, Fraction(1, 3)))
     v12 = result.v12
@@ -420,7 +376,7 @@ def _suite_oblique(config: RunConfig) -> tuple[list[Check], list[str]]:
     return checks, findings
 
 
-def _suite_oracle(config: RunConfig) -> list[Check]:
+def _suite_oracle() -> list[Check]:
     report = exhaustive_check(48)
     return [
         _check(
@@ -432,7 +388,7 @@ def _suite_oracle(config: RunConfig) -> list[Check]:
     ]
 
 
-def _suite_deviation(config: RunConfig) -> tuple[list[Check], list[str]]:
+def _suite_deviation() -> tuple[list[Check], list[str]]:
     report = max_deviation_scan(Fraction(1, 1000))
     twentieth = Fraction(1, 20)
     checks = [
@@ -456,7 +412,7 @@ def _suite_deviation(config: RunConfig) -> tuple[list[Check], list[str]]:
     return checks, findings
 
 
-def _suite_emissions(config: RunConfig) -> list[Check]:
+def _suite_emissions() -> list[Check]:
     catalog = [report for _, report in named_ship_catalog()]
     events = detect_emissions(catalog_pattern("gosper_gun"), 300, catalog)
     checks = [
@@ -502,24 +458,24 @@ def _suite_emissions(config: RunConfig) -> list[Check]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     wanted = args.suite
-    checks: list[Check] = _suite_catalog(config)
+    checks: list[Check] = _suite_catalog()
     findings: list[str] = []
     if wanted in ("parallel", "all"):
-        checks += _suite_parallel(config)
+        checks += _suite_parallel()
     if wanted in ("oblique", "all"):
-        more, notes = _suite_oblique(config)
+        more, notes = _suite_oblique()
         checks += more
         findings += notes
     if wanted in ("oracle", "all"):
-        checks += _suite_oracle(config)
+        checks += _suite_oracle()
     if wanted in ("deviation", "all"):
-        more, notes = _suite_deviation(config)
+        more, notes = _suite_deviation()
         checks += more
         findings += notes
     if wanted in ("emissions", "all"):
-        checks += _suite_emissions(config)
+        checks += _suite_emissions()
 
     failed = 0
     for ok, text in checks:
@@ -531,19 +487,18 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_emissions(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_emissions(args: argparse.Namespace) -> int:
     doc = _load_document(args.pattern)
     names = {report: name for name, report in named_ship_catalog()}
-    events = detect_emissions(
-        doc.to_pattern(), config.horizon, list(names.keys())
-    )
+    events = detect_emissions(doc.to_pattern(), args.horizon, list(names.keys()))
+    machine = args.format == "machine"
     failures = 0
-    if config.machine:
+    if machine:
         print(f"events={len(events)}")
     for index, event in enumerate(events, start=1):
-        failures += _print_event(index, event, names, args.v1, config)
-    if not config.machine:
-        print(f"{len(events)} emission event(s) within {config.horizon} generations")
+        failures += _print_event(index, event, names, args.v1, machine)
+    if not machine:
+        print(f"{len(events)} emission event(s) within {args.horizon} generations")
     return 1 if failures else 0
 
 
@@ -552,7 +507,7 @@ def _print_event(
     event: EmissionEvent,
     names: dict[ShipReport, str],
     v1: Fraction | None,
-    config: RunConfig,
+    machine: bool,
 ) -> int:
     name = names.get(event.ship, "ship")
     vx, vy = event.ground_velocity
@@ -571,7 +526,7 @@ def _print_event(
             if recomposed != Velocity2(vx, vy):
                 note = "recomposition does not restore the measurement"
                 failed = 1
-    if config.machine:
+    if machine:
         print(f"event={index}")
         print(f"ship={name}")
         print(f"birth={event.birth_generation}")
@@ -621,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("pattern", help="RLE or plaintext pattern file")
     p_run.add_argument("--gens", type=_nonnegative_int, default=1)
     p_run.add_argument("--out", help="write the evolved RLE here instead of stdout")
-    p_run.add_argument("--explosion-factor", type=float, default=None)
+    p_run.add_argument("--explosion-factor")
     p_run.set_defaults(handler=cmd_run)
 
     p_detect = sub.add_parser(
@@ -629,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_detect.add_argument("pattern")
     p_detect.add_argument("--max-period", type=_positive_int, default=64)
-    p_detect.add_argument("--explosion-factor", type=float, default=None)
+    p_detect.add_argument("--explosion-factor")
     p_detect.set_defaults(handler=cmd_detect)
 
     p_compose = sub.add_parser(
@@ -679,17 +634,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        factor = getattr(args, "explosion_factor", None)
-        if factor is None:
-            factor = _explosion_factor_default()
-        config = RunConfig(
-            generations=getattr(args, "gens", 0),
-            max_period=getattr(args, "max_period", 64),
-            horizon=getattr(args, "horizon", 300),
-            explosion_factor=factor,
-            output_format=args.format,
+        args.explosion_factor = _explosion_factor(
+            getattr(args, "explosion_factor", None)
         )
-        return args.handler(args, config)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,10 +7,10 @@ in the emission census, where a small cluster is recognized by exact
 cell-set match against known ship phases and its velocity is still
 measured from its own sightings rather than copied from the catalog.
 
-The census keeps its board as the engine's sorted packed keys for the
-whole horizon: it steps them with the vectorized evolver and splits
-them into bodies with a vectorized component pass, so no generation
-is unpacked into Python cell sets.
+The ship detector, the census and its catalog walk all step the
+engine's packed ``Board`` and compare canonical shapes as key bytes.
+The census splits the board's keys into bodies with a vectorized
+component pass, so no generation is unpacked into Python cell sets.
 """
 
 from __future__ import annotations
@@ -23,18 +23,12 @@ import numpy as np
 from .engine import (
     _FIELD,
     _FIELD_BITS,
+    Board,
     Cell,
-    CoordinateOverflowError,
     EmptyPatternError,
+    ExplosiveGrowthError,
     Pattern,
-    _check_headroom,
-    _evolve_np,
-    _pack,
-    _packed_origin,
-    bounding_box,
-    canonicalize,
-    population,
-    step,
+    translate,
 )
 
 __all__ = [
@@ -65,15 +59,6 @@ _FORWARD_MERGE_OFFSETS = np.array(
     ],
     dtype=np.int64,
 )
-
-
-class ExplosiveGrowthError(RuntimeError):
-    """Growth blew past the configured bound before any recurrence."""
-
-    def __init__(self, message: str, generation: int, current_population: int):
-        super().__init__(message)
-        self.generation = generation
-        self.population = current_population
 
 
 @dataclass(frozen=True)
@@ -133,45 +118,37 @@ def detect_ship(
     pattern may still be periodic with a longer period, or may never
     settle).  Raises ExplosiveGrowthError when the population grows
     past population_factor times the initial count, or the bounding
-    box past max_extent on a side, before any recurrence.
+    box past max_extent on a side, before any recurrence.  The run is
+    planned on packed keys up front, so a board whose extent plus
+    2 x max_period exceeds 2**31, or whose run could leave the signed
+    64-bit range, raises CoordinateOverflowError before any step.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    start_population = population(p)
-    population_limit = start_population * population_factor
-    first, anchor0 = canonicalize(p)
-    phases = [first]
-    q = p
+    board = Board(p, max_period, population_factor=population_factor)
+    first, (x0, y0, _, _) = board.shape()
+    phases = [translate(p, -x0, -y0)]
     for t in range(1, max_period + 1):
-        q = step(q)
-        if not q.cells:
+        board.step()
+        if not board.population:
             return None
-        if population(q) > population_limit:
-            raise ExplosiveGrowthError(
-                f"population {population(q)} exceeds "
-                f"{population_factor} x initial {start_population} "
-                f"at generation {t} with no recurrence",
-                t,
-                population(q),
-            )
-        min_x, min_y, max_x, max_y = bounding_box(q)
+        shape, (min_x, min_y, max_x, max_y) = board.shape()
         if max_x - min_x + 1 > max_extent or max_y - min_y + 1 > max_extent:
             raise ExplosiveGrowthError(
                 f"bounding box exceeds {max_extent} on a side "
                 f"at generation {t} with no recurrence",
                 t,
-                population(q),
+                board.population,
             )
-        canon, anchor = canonicalize(q)
-        if canon.cells == first.cells:
+        if shape == first:
             return ShipReport(
                 period=t,
-                displacement=(anchor[0] - anchor0[0], anchor[1] - anchor0[1]),
+                displacement=(min_x - x0, min_y - y0),
                 phases=tuple(phases),
             )
-        phases.append(canon)
+        phases.append(translate(board.pattern(), -min_x, -min_y))
     return None
 
 
@@ -220,11 +197,6 @@ class _PhaseEntry:
     next_shape: bytes
 
 
-def _shape_key(cells: frozenset[Cell]) -> bytes:
-    """A canonical shape as the bytes of its sorted packed keys."""
-    return _pack(cells, (0, 0)).tobytes()
-
-
 def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     """Walk one full period of a ship and record each phase's step.
 
@@ -232,29 +204,23 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     corner moves on the next generation; the census needs that to
     follow one physical ship through consecutive generations.
     """
-    q = report.phases[0]
-    anchors: list[Cell] = [(0, 0)]
-    shapes: list[frozenset[Cell]] = [q.cells]
+    board = Board(report.phases[0], report.period)
+    walk = [board.shape()]
     for _ in range(report.period):
-        q = step(q)
-        canon, anchor = canonicalize(q)
-        anchors.append(anchor)
-        shapes.append(canon.cells)
-    if shapes[report.period] != shapes[0]:
+        board.step()
+        walk.append(board.shape())
+    last_shape, last_box = walk[-1]
+    if last_shape != walk[0][0]:
         raise ValueError("catalog entry does not recur at its stated period")
-    if anchors[report.period] != report.displacement:
+    if last_box[:2] != report.displacement:
         raise ValueError("catalog entry does not move by its stated displacement")
     out = []
-    for i in range(report.period):
-        if shapes[i] != report.phases[i].cells:
+    for i, phase in enumerate(report.phases):
+        (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) = walk[i : i + 2]
+        if shape != Board(phase, 0).shape()[0]:
             raise ValueError("catalog entry phases are out of order")
-        delta = (
-            anchors[i + 1][0] - anchors[i][0],
-            anchors[i + 1][1] - anchors[i][1],
-        )
-        extent = bounding_box(report.phases[i])[2:]
-        next_shape = _shape_key(shapes[(i + 1) % report.period])
-        out.append((_shape_key(shapes[i]), _PhaseEntry(report, extent, delta, next_shape)))
+        entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
+        out.append((shape, entry))
     return out
 
 
@@ -354,13 +320,7 @@ def detect_emissions(
             f"horizon {horizon} is shorter than the shortest catalog "
             f"period {shortest}, so no sighting can be confirmed"
         )
-    _check_headroom(p, horizon)
-    origin = _packed_origin(p, horizon + _MERGE_RADIUS)
-    if origin is None:
-        raise CoordinateOverflowError(
-            f"board extent plus 2 x {horizon + _MERGE_RADIUS} generations "
-            f"does not fit the census's {_FIELD_BITS}-bit packed fields"
-        )
+    board = Board(p, horizon, margin=_MERGE_RADIUS)
 
     # Per phase size, the phases of that many cells keyed by shape.
     table: dict[int, dict[bytes, _PhaseEntry]] = {}
@@ -378,9 +338,8 @@ def detect_emissions(
 
     events: list[EmissionEvent] = []
     tracks: list[_Track] = []
-    keys = _pack(p.cells, origin)
     for generation in range(horizon + 1):
-        matched, body = _sightings(keys, table)
+        matched, body = _sightings(board.keys, table)
 
         surviving: list[_Track] = []
         for track in tracks:
@@ -418,8 +377,8 @@ def detect_emissions(
                     ship=track.entry.report,
                     ground_velocity=velocity,
                     first_sighting=(
-                        track.first_anchor[0] + origin[0],
-                        track.first_anchor[1] + origin[1],
+                        track.first_anchor[0] + board.origin[0],
+                        track.first_anchor[1] + board.origin[1],
                     ),
                 )
             )
@@ -440,8 +399,8 @@ def detect_emissions(
                 )
             )
 
-        if generation < horizon and keys.size:
-            keys = _evolve_np(keys)
+        if generation < horizon:
+            board.step()
 
     events.sort(key=lambda e: (e.birth_generation, e.first_sighting))
     return events

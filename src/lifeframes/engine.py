@@ -2,14 +2,14 @@
 
 Live cells are kept as a frozenset of (x, y) integer pairs, x growing
 rightward and y growing downward.  ``step`` is a plain sparse
-neighbor-count pass in Python.  ``step_n`` runs a vectorized numpy
-stepper over sorted 64-bit keys that pack each cell's coordinates
-relative to the bounding-box corner, so the packed path is chosen by
-extent alone: it serves any run whose extent plus twice its length
-fits a 31-bit field, wherever the board sits.  The emission census
-keeps its board in the same keys for its whole horizon.  Only boards
-wider than that fall back to the Python pass.  Both paths produce
-bit-identical cell sets.
+neighbor-count pass in Python.  ``step_n``, the ship detector and the
+emission census all step one packed ``Board``: sorted 64-bit keys that
+pack each cell's coordinates relative to the bounding-box corner,
+advanced in place by a vectorized numpy pass.  It serves any run whose
+extent plus twice its length fits a 31-bit field, wherever the board
+sits.  Only ``step_n`` falls back to the Python pass, for wider
+boards.  Both paths produce bit-identical cell sets and apply the same
+population guard.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ __all__ = [
     "Pattern",
     "EmptyPatternError",
     "CoordinateOverflowError",
+    "ExplosiveGrowthError",
+    "Board",
     "step",
     "step_n",
     "canonicalize",
@@ -56,6 +58,15 @@ class EmptyPatternError(ValueError):
 
 class CoordinateOverflowError(OverflowError):
     """Raised when an evolution could push cells outside the 64-bit range."""
+
+
+class ExplosiveGrowthError(RuntimeError):
+    """Growth blew past the configured bound before the run ended."""
+
+    def __init__(self, message: str, generation: int, current_population: int):
+        super().__init__(message)
+        self.generation = generation
+        self.population = current_population
 
 
 @dataclass(frozen=True)
@@ -185,26 +196,104 @@ def _evolve_np(keys: np.ndarray) -> np.ndarray:
     return uniq[(counts == 3) | ((counts == 2) & alive)]
 
 
-def step_n(p: Pattern, n: int) -> Pattern:
-    """n-fold iteration of ``step``."""
+def _check_growth(
+    start: int, factor: float | None, count: int, generation: int
+) -> None:
+    """Refuse a population above factor x the start count of its run."""
+    if factor is not None and count > start * factor:
+        raise ExplosiveGrowthError(
+            f"population {count} exceeds {factor} x initial {start} "
+            f"at generation {generation}",
+            generation,
+            count,
+        )
+
+
+class Board:
+    """A board held as sorted packed keys and stepped in place.
+
+    Packed once for a run of generations steps plus margin cells of
+    slack a side: a run that could leave the 64-bit range, or whose
+    extent plus 2 x (generations + margin) exceeds 2**31, raises
+    CoordinateOverflowError.  With a population_factor, each step
+    raises ExplosiveGrowthError above that factor x the start count.
+    """
+
+    def __init__(
+        self,
+        p: Pattern,
+        generations: int,
+        margin: int = 0,
+        population_factor: float | None = None,
+    ):
+        _check_headroom(p, generations)
+        origin = _packed_origin(p, generations + margin)
+        if origin is None:
+            raise CoordinateOverflowError(
+                f"board extent plus 2 x {generations + margin} cells does "
+                f"not fit the {_FIELD_BITS}-bit packed fields"
+            )
+        self.origin = origin
+        self.keys = _pack(p.cells, origin)
+        self.generation = p.generation
+        self._start = (p.generation, len(p.cells))
+        self._end = p.generation + generations
+        self._factor = population_factor
+
+    @property
+    def population(self) -> int:
+        return self.keys.size
+
+    def step(self, generations: int = 1) -> None:
+        """Advance in place; an empty board only counts the generations."""
+        end = self.generation + generations
+        if end > self._end:
+            raise ValueError("stepping past the run the board was packed for")
+        first, count = self._start
+        while self.generation < end and self.keys.size:
+            self.keys = _evolve_np(self.keys)
+            self.generation += 1
+            _check_growth(count, self._factor, self.keys.size, self.generation - first)
+        self.generation = end
+
+    def shape(self) -> tuple[bytes, tuple[int, int, int, int]]:
+        """The canonical shape and the box (min_x, min_y, max_x, max_y).
+
+        Shapes are the bytes of the keys relative to the box corner, so
+        they are equal exactly when the cells match modulo translation.
+        """
+        if not self.keys.size:
+            raise EmptyPatternError("an empty board has no shape")
+        # Keys sort x-major, so the first and last keys hold the x range.
+        x0, x1 = int(self.keys[0] >> _FIELD_BITS), int(self.keys[-1] >> _FIELD_BITS)
+        ys = self.keys & (_FIELD - 1)
+        y0, y1 = int(ys.min()), int(ys.max())
+        ox, oy = self.origin
+        shape = (self.keys - (x0 * _FIELD + y0)).tobytes()
+        return shape, (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+
+    def pattern(self) -> Pattern:
+        return Pattern(_unpack(self.keys, self.origin), self.generation)
+
+
+def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
+    """n-fold iteration of ``step``.
+
+    With a population_factor, raises ExplosiveGrowthError at the first
+    generation whose population exceeds that factor times p's.
+    """
     if n < 0:
         raise ValueError("generation count must be non-negative")
     if n == 0:
         return p
+    if _packed_origin(p, n) is not None:
+        board = Board(p, n, population_factor=population_factor)
+        board.step(n)
+        return board.pattern()
+
     _check_headroom(p, n)
-    if not p.cells:
-        return Pattern(p.cells, p.generation + n)
-
-    origin = _packed_origin(p, n)
-    if origin is not None:
-        keys = _pack(p.cells, origin)
-        for _ in range(n):
-            if keys.size == 0:
-                break
-            keys = _evolve_np(keys)
-        return Pattern(_unpack(keys, origin), p.generation + n)
-
     cells = p.cells
-    for _ in range(n):
+    for t in range(1, n + 1):
         cells = _evolve_py(cells)
+        _check_growth(len(p.cells), population_factor, len(cells), t)
     return Pattern(cells, p.generation + n)

@@ -1,0 +1,116 @@
+"""The packed Board shared by step_n, the ship detector and the census.
+
+The detector is checked against ``ship_reference``, which steps with
+the Python ``step`` and compares canonical cell sets; the population
+guard is checked on both of step_n's paths.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ship_reference
+from lifeframes import catalog, engine
+from lifeframes.catalog import catalog_pattern, named_ship_catalog
+from lifeframes.detector import DEFAULT_MAX_EXTENT, detect_ship
+from lifeframes.engine import (
+    Board,
+    CoordinateOverflowError,
+    ExplosiveGrowthError,
+    Pattern,
+    step_n,
+)
+
+R_PENTOMINO = frozenset({(1, 0), (2, 0), (0, 1), (1, 1), (1, 2)})
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} should not run")
+
+    monkeypatch.setattr(engine, name, forbidden)
+
+
+class TestPopulationBound:
+    def test_step_n_names_the_first_generation_over_it(self):
+        with pytest.raises(ExplosiveGrowthError) as info:
+            step_n(Pattern(R_PENTOMINO), 512, population_factor=2.0)
+        assert (info.value.generation, info.value.population) == (6, 12)
+        assert step_n(Pattern(R_PENTOMINO), 5, population_factor=2.0).generation == 5
+
+    def test_detect_ship_stops_at_the_same_generation(self):
+        with pytest.raises(ExplosiveGrowthError) as info:
+            detect_ship(Pattern(R_PENTOMINO), max_period=512, population_factor=2.0)
+        assert (info.value.generation, info.value.population) == (6, 12)
+
+    def test_python_path_applies_it_too(self, monkeypatch):
+        _forbid(monkeypatch, "_evolve_np")
+        wide = R_PENTOMINO | {(x + 2**31, y) for x, y in R_PENTOMINO}
+        with pytest.raises(ExplosiveGrowthError) as info:
+            step_n(Pattern(wide), 512, population_factor=2.0)
+        assert (info.value.generation, info.value.population) == (6, 24)
+
+
+class TestPlannedRun:
+    def test_board_refuses_steps_past_its_planned_run(self):
+        board = Board(catalog_pattern("glider"), 4)
+        board.step(3)
+        with pytest.raises(ValueError, match="packed for"):
+            board.step(2)
+
+    def test_detect_ship_refuses_a_period_bound_too_wide_for_the_fields(
+        self, monkeypatch
+    ):
+        _forbid(monkeypatch, "_evolve_np")
+        _forbid(monkeypatch, "_evolve_py")
+        with pytest.raises(CoordinateOverflowError, match="packed fields"):
+            detect_ship(catalog_pattern("glider"), max_period=2**31)
+
+
+def _outcome(detect, p, **limits):
+    """A detector's report, or the generation and population it refused at."""
+    try:
+        return detect(p, max_period=8, **limits)
+    except ExplosiveGrowthError as exc:
+        return ("explosive", exc.generation, exc.population)
+
+
+PIECES = [
+    catalog_pattern(name).cells
+    for name in ("glider", "lwss", "block", "blinker", "eater1")
+]
+
+
+@st.composite
+def small_boards(draw):
+    """Loose random cells, or a few of them around one catalog piece.
+
+    The pieces make recurrences common enough to compare: a soup alone
+    almost always dies or runs past max_period.
+    """
+    coord = st.integers(-8, 8)
+    piece = draw(st.sampled_from([frozenset()] + PIECES))
+    dx, dy = draw(coord), draw(coord)
+    loose = draw(st.frozensets(st.tuples(coord, coord), max_size=3 if piece else 24))
+    cells = loose | {(x + dx, y + dy) for x, y in piece}
+    assume(cells)
+    return Pattern(cells, draw(st.integers(0, 5)))
+
+
+class TestDetectShipAgainstSteppingReference:
+    @given(
+        small_boards(),
+        st.sampled_from([1.0, 1.5, 2.0, 10.0]),
+        st.sampled_from([4, 8, DEFAULT_MAX_EXTENT]),
+    )
+    @settings(max_examples=300)
+    def test_random_boards(self, p, factor, extent):
+        limits = dict(population_factor=factor, max_extent=extent)
+        assert _outcome(detect_ship, p, **limits) == _outcome(
+            ship_reference.detect_ship, p, **limits
+        )
+
+    def test_named_ship_catalog_in_all_orientations(self, monkeypatch):
+        measured = named_ship_catalog()
+        monkeypatch.setattr(catalog, "detect_ship", ship_reference.detect_ship)
+        assert named_ship_catalog() == measured

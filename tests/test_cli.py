@@ -301,6 +301,34 @@ class TestExplosionFactor:
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "detect"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "much"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_factor_must_be_finite_and_positive(
+        self, capsys, tmp_path, monkeypatch, command, value, source
+    ):
+        path = tmp_path / "r.rle"
+        path.write_text(R_PENTOMINO_RLE)
+        argv = [command, str(path)]
+        if source == "flag":
+            argv += ["--explosion-factor", value]
+        else:
+            monkeypatch.setenv(EXPLOSION_FACTOR_ENV, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_run_names_the_first_generation_over_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "r.rle"
+        path.write_text(R_PENTOMINO_RLE)
+        code, out, err = run_cli(
+            capsys, "run", str(path), "--gens", "512", "--explosion-factor", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "at generation 6" in err
+
 
 def test_console_script_entry_point():
     script = shutil.which("lifeframes")
