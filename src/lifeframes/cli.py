@@ -131,10 +131,9 @@ def _explosion_factor(flag: str | None) -> float:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    factor = _explosion_factor(args.explosion_factor)
     doc = _load_document(args.pattern)
-    evolved = step_n(
-        doc.to_pattern(), args.gens, population_factor=args.explosion_factor
-    )
+    evolved = step_n(doc.to_pattern(), args.gens, population_factor=factor)
     text = emit_rle(PatternDocument.from_pattern(evolved, doc.name, doc.comments))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -161,10 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    factor = _explosion_factor(args.explosion_factor)
     doc = _load_document(args.pattern)
-    report = detect_ship(
-        doc.to_pattern(), args.max_period, population_factor=args.explosion_factor
-    )
+    report = detect_ship(doc.to_pattern(), args.max_period, population_factor=factor)
     if report is None:
         if args.format == "machine":
             print("periodic=no")
@@ -634,9 +632,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.explosion_factor = _explosion_factor(
-            getattr(args, "explosion_factor", None)
-        )
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,11 @@ cell-set match against known ship phases and its velocity is still
 measured from its own sightings rather than copied from the catalog.
 
 The ship detector, the census and its catalog walk all step the
-engine's packed ``Board`` and compare canonical shapes as key bytes.
-The census splits the board's keys into bodies with a vectorized
-component pass, so no generation is unpacked into Python cell sets.
+engine's packed ``Board`` and compare its opaque canonical shapes.
+The board also splits itself into bodies for the census and looks
+them up in the census's catalog table, so no generation is unpacked
+into Python cell sets and this module holds only census policy: the
+table, the tracks, the escape rule and the velocities.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .engine import (
-    _FIELD,
-    _FIELD_BITS,
+    MERGE_RADIUS,
     Board,
+    Box,
     Cell,
     EmptyPatternError,
     ExplosiveGrowthError,
@@ -43,23 +43,6 @@ __all__ = [
 
 DEFAULT_POPULATION_FACTOR = 10.0
 DEFAULT_MAX_EXTENT = 10_000
-
-# Chebyshev distance 2 is the merge radius: two cells that far apart
-# can still feed the same dead neighbor, so their clusters are one
-# causal body for the next step.
-_MERGE_RADIUS = 2
-# The forward half of that neighborhood as packed-key offsets: each
-# merging pair is found once, from its smaller key.
-_FORWARD_MERGE_OFFSETS = np.array(
-    [
-        dx * _FIELD + dy
-        for dx in range(_MERGE_RADIUS + 1)
-        for dy in range(-_MERGE_RADIUS, _MERGE_RADIUS + 1)
-        if dx > 0 or dy > 0
-    ],
-    dtype=np.int64,
-)
-
 
 @dataclass(frozen=True)
 class ShipReport:
@@ -152,41 +135,6 @@ def detect_ship(
     return None
 
 
-def _box_gap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> int:
-    """Chebyshev distance between two bounding boxes (0 when touching)."""
-    gap_x = max(a[0] - b[2], b[0] - a[2], 0)
-    gap_y = max(a[1] - b[3], b[1] - a[3], 0)
-    return max(gap_x, gap_y)
-
-
-def _component_labels(keys: np.ndarray) -> np.ndarray:
-    """Label each sorted key with the first index of its body.
-
-    Cells within Chebyshev distance 2 are joined: one searchsorted
-    finds every pair at a forward merge offset, then every root is
-    hooked to the smallest root it touches and pointer jumping
-    flattens the trees, until no joined pair carries two labels.
-    """
-    n = keys.size
-    targets = (keys[None, :] + _FORWARD_MERGE_OFFSETS[:, None]).ravel()
-    found = np.minimum(np.searchsorted(keys, targets), n - 1)
-    hit = np.flatnonzero(keys[found] == targets)
-    src, dst = hit % n, found[hit]
-    labels = np.arange(n)
-    while True:
-        a, b = labels[src], labels[dst]
-        differ = a != b
-        if not differ.any():
-            return labels
-        src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-
-
 @dataclass
 class _PhaseEntry:
     """One canonical ship phase with its per-step anchor motion."""
@@ -224,65 +172,16 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     return out
 
 
-def _sightings(
-    keys: np.ndarray, table: dict[int, dict[bytes, _PhaseEntry]]
-) -> tuple[dict[tuple[bytes, Cell], _PhaseEntry], tuple[int, int, int, int] | None]:
-    """Split one generation's packed board into bodies.
-
-    Returns the bodies that match a catalog phase, keyed by shape and
-    box corner, and the union box of all the other bodies (None when
-    there are none).  Only bodies with as many cells as some catalog
-    phase are looked up, one batch per size.
-    """
-    matched: dict[tuple[bytes, Cell], _PhaseEntry] = {}
-    if keys.size == 0:
-        return matched, None
-    labels = _component_labels(keys)
-    order = np.argsort(labels, kind="stable")
-    grouped = keys[order]
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
-    )
-    sizes = np.diff(np.append(starts, keys.size))
-    # Keys sort x-major, so a body's first and last keys hold its x
-    # range; its y range needs a reduction.
-    xs = grouped >> _FIELD_BITS
-    ys = grouped & (_FIELD - 1)
-    min_x, max_x = xs[starts], xs[starts + sizes - 1]
-    min_y = np.minimum.reduceat(ys, starts)
-    max_y = np.maximum.reduceat(ys, starts)
-    is_body = np.ones(starts.size, dtype=bool)
-    for size, by_shape in table.items():
-        picked = np.flatnonzero(sizes == size)
-        if picked.size == 0:
-            continue
-        corner = (min_x[picked] << _FIELD_BITS) + min_y[picked]
-        rows = grouped[starts[picked, None] + np.arange(size)] - corner[:, None]
-        shapes = rows.view(f"V{8 * size}").ravel().tolist()
-        for i, shape, x, y in zip(
-            picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
-        ):
-            entry = by_shape.get(shape)
-            if entry is not None:
-                matched[(shape, (x, y))] = entry
-                is_body[i] = False
-    if not is_body.any():
-        return matched, None
-    return matched, (
-        int(min_x[is_body].min()),
-        int(min_y[is_body].min()),
-        int(max_x[is_body].max()),
-        int(max_y[is_body].max()),
-    )
+def _gap(anchor: Cell, entry: _PhaseEntry, body: Box) -> int:
+    """Chebyshev distance from the phase's box at anchor to body (0 when touching)."""
+    (x, y), (w, h) = anchor, entry.extent
+    return max(body[0] - x - w, x - body[2], body[1] - y - h, y - body[3], 0)
 
 
 @dataclass
 class _Track:
     """One physical ship being followed generation by generation."""
 
-    entry: _PhaseEntry
-    anchor: Cell
     first_generation: int
     first_anchor: Cell
     first_gap: int | None
@@ -320,13 +219,13 @@ def detect_emissions(
             f"horizon {horizon} is shorter than the shortest catalog "
             f"period {shortest}, so no sighting can be confirmed"
         )
-    board = Board(p, horizon, margin=_MERGE_RADIUS)
+    board = Board(p, horizon, margin=MERGE_RADIUS)
 
     # Per phase size, the phases of that many cells keyed by shape.
     table: dict[int, dict[bytes, _PhaseEntry]] = {}
     for report in ships:
-        for shape, entry in _phase_entries(report):
-            by_shape = table.setdefault(len(shape) // 8, {})
+        for phase, (shape, entry) in zip(report.phases, _phase_entries(report)):
+            by_shape = table.setdefault(len(phase), {})
             known = by_shape.get(shape)
             if known is None:
                 by_shape[shape] = entry
@@ -337,67 +236,39 @@ def detect_emissions(
                 raise ValueError("two catalog ships share a phase shape")
 
     events: list[EmissionEvent] = []
-    tracks: list[_Track] = []
+    # Live tracks keyed by the sighting each should make next.
+    tracks: dict[tuple[bytes, Cell], _Track] = {}
     for generation in range(horizon + 1):
-        matched, body = _sightings(board.keys, table)
-
-        surviving: list[_Track] = []
-        for track in tracks:
-            dx, dy = track.entry.step_offset
-            key = (track.entry.next_shape, (track.anchor[0] + dx, track.anchor[1] + dy))
-            entry = matched.pop(key, None)
-            if entry is None:
-                continue
-            track.entry = entry
-            track.anchor = key[1]
-            surviving.append(track)
-            if track.confirmed:
-                continue
-            elapsed = generation - track.first_generation
-            if elapsed == 0 or elapsed % track.entry.report.period:
-                continue
-            if body is not None and track.first_gap is not None:
-                w, h = entry.extent
-                here = (
-                    track.anchor[0],
-                    track.anchor[1],
-                    track.anchor[0] + w,
-                    track.anchor[1] + h,
-                )
-                if _box_gap(here, body) <= track.first_gap:
-                    continue
-            velocity = (
-                Fraction(track.anchor[0] - track.first_anchor[0], elapsed),
-                Fraction(track.anchor[1] - track.first_anchor[1], elapsed),
-            )
-            track.confirmed = True
-            events.append(
-                EmissionEvent(
-                    birth_generation=track.first_generation,
-                    ship=track.entry.report,
-                    ground_velocity=velocity,
-                    first_sighting=(
-                        track.first_anchor[0] + board.origin[0],
-                        track.first_anchor[1] + board.origin[1],
-                    ),
-                )
-            )
-        tracks = surviving
-
+        matched, body = board.bodies(table)
+        following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():
-            gap = None
-            if body is not None:
-                w, h = entry.extent
-                gap = _box_gap((anchor[0], anchor[1], anchor[0] + w, anchor[1] + h), body)
-            tracks.append(
-                _Track(
-                    entry=entry,
-                    anchor=anchor,
-                    first_generation=generation,
-                    first_anchor=anchor,
-                    first_gap=gap,
-                )
-            )
+            track = tracks.get((shape, anchor))
+            if track is None:
+                gap = None if body is None else _gap(anchor, entry, body)
+                track = _Track(generation, anchor, gap)
+            elif not track.confirmed:
+                elapsed = generation - track.first_generation
+                if elapsed % entry.report.period == 0 and (
+                    body is None
+                    or track.first_gap is None
+                    or _gap(anchor, entry, body) > track.first_gap
+                ):
+                    track.confirmed = True
+                    x0, y0 = track.first_anchor
+                    events.append(
+                        EmissionEvent(
+                            birth_generation=track.first_generation,
+                            ship=entry.report,
+                            ground_velocity=(
+                                Fraction(anchor[0] - x0, elapsed),
+                                Fraction(anchor[1] - y0, elapsed),
+                            ),
+                            first_sighting=track.first_anchor,
+                        )
+                    )
+            dx, dy = entry.step_offset
+            following[(entry.next_shape, (anchor[0] + dx, anchor[1] + dy))] = track
+        tracks = following
 
         if generation < horizon:
             board.step()

@@ -9,13 +9,18 @@ advanced in place by a vectorized numpy pass.  It serves any run whose
 extent plus twice its length fits a 31-bit field, wherever the board
 sits.  Only ``step_n`` falls back to the Python pass, for wider
 boards.  Both paths produce bit-identical cell sets and apply the same
-population guard.
+population guard.  The board also splits itself into bodies for the
+census and looks them up by shape, so the key format stays in this
+module.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -24,6 +29,7 @@ __all__ = [
     "EmptyPatternError",
     "CoordinateOverflowError",
     "ExplosiveGrowthError",
+    "MERGE_RADIUS",
     "Board",
     "step",
     "step_n",
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 Cell = tuple[int, int]
+Box = tuple[int, int, int, int]
+V = TypeVar("V")
 
 # Coordinates live in the signed 64-bit range; the engine refuses to
 # evolve a pattern whose run could leave it rather than wrap.
@@ -50,6 +58,22 @@ _NEIGHBOR_OFFSETS = tuple(
 )
 _PACKED_OFFSETS = tuple(dx * _FIELD + dy for dx, dy in _NEIGHBOR_OFFSETS)
 _PACKED_OFFSETS_NP = np.array(_PACKED_OFFSETS, dtype=np.int64)
+
+# Chebyshev distance 2 is the merge radius: two cells that far apart
+# can still feed the same dead neighbor, so their clusters are one
+# causal body for the next step.
+MERGE_RADIUS = 2
+# The forward half of that neighborhood as packed-key offsets: each
+# merging pair is found once, from its smaller key.
+_FORWARD_MERGE_OFFSETS = np.array(
+    [
+        dx * _FIELD + dy
+        for dx in range(MERGE_RADIUS + 1)
+        for dy in range(-MERGE_RADIUS, MERGE_RADIUS + 1)
+        if dx > 0 or dy > 0
+    ],
+    dtype=np.int64,
+)
 
 
 class EmptyPatternError(ValueError):
@@ -196,6 +220,43 @@ def _evolve_np(keys: np.ndarray) -> np.ndarray:
     return uniq[(counts == 3) | ((counts == 2) & alive)]
 
 
+def _component_labels(keys: np.ndarray) -> np.ndarray:
+    """Label each sorted key with the first index of its body.
+
+    Cells within Chebyshev distance 2 are joined: one searchsorted
+    finds every pair at a forward merge offset, then every root is
+    hooked to the smallest root it touches and pointer jumping
+    flattens the trees, until no joined pair carries two labels.
+    """
+    n = keys.size
+    targets = (keys[None, :] + _FORWARD_MERGE_OFFSETS[:, None]).ravel()
+    found = np.minimum(np.searchsorted(keys, targets), n - 1)
+    hit = np.flatnonzero(keys[found] == targets)
+    src, dst = hit % n, found[hit]
+    labels = np.arange(n)
+    while True:
+        a, b = labels[src], labels[dst]
+        differ = a != b
+        if not differ.any():
+            return labels
+        src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _check_factor(factor: float | None) -> None:
+    """Refuse a population factor that is nan, infinite or not above 0."""
+    # Every comparison with nan is false, so nan is refused here too.
+    if factor is not None and not 0 < factor < math.inf:
+        raise ValueError(
+            f"population_factor must be a finite number above 0, not {factor!r}"
+        )
+
+
 def _check_growth(
     start: int, factor: float | None, count: int, generation: int
 ) -> None:
@@ -215,8 +276,9 @@ class Board:
     Packed once for a run of generations steps plus margin cells of
     slack a side: a run that could leave the 64-bit range, or whose
     extent plus 2 x (generations + margin) exceeds 2**31, raises
-    CoordinateOverflowError.  With a population_factor, each step
-    raises ExplosiveGrowthError above that factor x the start count.
+    CoordinateOverflowError.  With a population_factor (finite and
+    above 0, else ValueError), each step raises ExplosiveGrowthError
+    above that factor x the start count.
     """
 
     def __init__(
@@ -226,6 +288,7 @@ class Board:
         margin: int = 0,
         population_factor: float | None = None,
     ):
+        _check_factor(population_factor)
         _check_headroom(p, generations)
         origin = _packed_origin(p, generations + margin)
         if origin is None:
@@ -233,8 +296,9 @@ class Board:
                 f"board extent plus 2 x {generations + margin} cells does "
                 f"not fit the {_FIELD_BITS}-bit packed fields"
             )
-        self.origin = origin
-        self.keys = _pack(p.cells, origin)
+        self._origin = origin
+        self._keys = _pack(p.cells, origin)
+        self._margin = margin
         self.generation = p.generation
         self._start = (p.generation, len(p.cells))
         self._end = p.generation + generations
@@ -242,7 +306,7 @@ class Board:
 
     @property
     def population(self) -> int:
-        return self.keys.size
+        return self._keys.size
 
     def step(self, generations: int = 1) -> None:
         """Advance in place; an empty board only counts the generations."""
@@ -250,38 +314,100 @@ class Board:
         if end > self._end:
             raise ValueError("stepping past the run the board was packed for")
         first, count = self._start
-        while self.generation < end and self.keys.size:
-            self.keys = _evolve_np(self.keys)
+        while self.generation < end and self._keys.size:
+            self._keys = _evolve_np(self._keys)
             self.generation += 1
-            _check_growth(count, self._factor, self.keys.size, self.generation - first)
+            _check_growth(count, self._factor, self._keys.size, self.generation - first)
         self.generation = end
 
-    def shape(self) -> tuple[bytes, tuple[int, int, int, int]]:
+    def shape(self) -> tuple[bytes, Box]:
         """The canonical shape and the box (min_x, min_y, max_x, max_y).
 
         Shapes are the bytes of the keys relative to the box corner, so
         they are equal exactly when the cells match modulo translation.
         """
-        if not self.keys.size:
+        if not self._keys.size:
             raise EmptyPatternError("an empty board has no shape")
         # Keys sort x-major, so the first and last keys hold the x range.
-        x0, x1 = int(self.keys[0] >> _FIELD_BITS), int(self.keys[-1] >> _FIELD_BITS)
-        ys = self.keys & (_FIELD - 1)
+        x0, x1 = int(self._keys[0] >> _FIELD_BITS), int(self._keys[-1] >> _FIELD_BITS)
+        ys = self._keys & (_FIELD - 1)
         y0, y1 = int(ys.min()), int(ys.max())
-        ox, oy = self.origin
-        shape = (self.keys - (x0 * _FIELD + y0)).tobytes()
+        ox, oy = self._origin
+        shape = (self._keys - (x0 * _FIELD + y0)).tobytes()
         return shape, (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
 
+    def bodies(
+        self, table: Mapping[int, Mapping[bytes, V]]
+    ) -> tuple[dict[tuple[bytes, Cell], V], Box | None]:
+        """Split the board into bodies and look them up by shape.
+
+        Bodies are the cells joined within Chebyshev distance
+        MERGE_RADIUS.  table maps a population to {shape: value}, with
+        shapes as ``shape()`` makes them; only bodies of a listed size
+        are looked up, one batch per size.  Returns the values of the
+        matched bodies keyed by (shape, box corner), and the union box
+        of all other bodies (None when there are none).  The merge pass
+        reaches MERGE_RADIUS cells past the run, so the board must be
+        packed with margin >= MERGE_RADIUS, else ValueError.
+        """
+        if self._margin < MERGE_RADIUS:
+            raise ValueError(f"bodies need a margin of at least {MERGE_RADIUS}")
+        matched: dict[tuple[bytes, Cell], V] = {}
+        keys = self._keys
+        if keys.size == 0:
+            return matched, None
+        labels = _component_labels(keys)
+        order = np.argsort(labels, kind="stable")
+        grouped = keys[order]
+        sorted_labels = labels[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
+        )
+        sizes = np.diff(np.append(starts, keys.size))
+        # Keys sort x-major, so a body's first and last keys hold its x
+        # range; its y range needs a reduction.
+        xs = grouped >> _FIELD_BITS
+        ys = grouped & (_FIELD - 1)
+        min_x, max_x = xs[starts], xs[starts + sizes - 1]
+        min_y = np.minimum.reduceat(ys, starts)
+        max_y = np.maximum.reduceat(ys, starts)
+        ox, oy = self._origin
+        is_body = np.ones(starts.size, dtype=bool)
+        for size, by_shape in table.items():
+            picked = np.flatnonzero(sizes == size)
+            if picked.size == 0:
+                continue
+            corner = (min_x[picked] << _FIELD_BITS) + min_y[picked]
+            rows = grouped[starts[picked, None] + np.arange(size)] - corner[:, None]
+            shapes = rows.view(f"V{8 * size}").ravel().tolist()
+            for i, shape, x, y in zip(
+                picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
+            ):
+                value = by_shape.get(shape)
+                if value is not None:
+                    matched[(shape, (x + ox, y + oy))] = value
+                    is_body[i] = False
+        if not is_body.any():
+            return matched, None
+        return matched, (
+            int(min_x[is_body].min()) + ox,
+            int(min_y[is_body].min()) + oy,
+            int(max_x[is_body].max()) + ox,
+            int(max_y[is_body].max()) + oy,
+        )
+
     def pattern(self) -> Pattern:
-        return Pattern(_unpack(self.keys, self.origin), self.generation)
+        return Pattern(_unpack(self._keys, self._origin), self.generation)
 
 
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
     """n-fold iteration of ``step``.
 
     With a population_factor, raises ExplosiveGrowthError at the first
-    generation whose population exceeds that factor times p's.
+    generation whose population exceeds that factor times p's; a factor
+    that is nan, infinite or not above 0 raises ValueError.
     """
+    _check_factor(population_factor)
     if n < 0:
         raise ValueError("generation count must be non-negative")
     if n == 0:

@@ -51,6 +51,63 @@ class TestPopulationBound:
         assert (info.value.generation, info.value.population) == (6, 24)
 
 
+class TestFactorCheck:
+    """A factor that is nan, infinite or not above 0 is refused before any step."""
+
+    BAD = [float("nan"), float("inf"), float("-inf"), 0, -1]
+
+    @pytest.fixture(autouse=True)
+    def _no_stepping(self, monkeypatch):
+        _forbid(monkeypatch, "_evolve_np")
+        _forbid(monkeypatch, "_evolve_py")
+
+    @pytest.mark.parametrize("factor", BAD)
+    def test_step_n_on_the_packed_path(self, factor):
+        with pytest.raises(ValueError, match="population_factor"):
+            step_n(Pattern(R_PENTOMINO), 200, population_factor=factor)
+
+    @pytest.mark.parametrize("factor", BAD)
+    def test_step_n_on_the_python_path(self, factor):
+        wide = R_PENTOMINO | {(x + 2**31, y) for x, y in R_PENTOMINO}
+        with pytest.raises(ValueError, match="population_factor"):
+            step_n(Pattern(wide), 200, population_factor=factor)
+
+    @pytest.mark.parametrize("factor", BAD)
+    def test_detect_ship(self, factor):
+        with pytest.raises(ValueError, match="population_factor"):
+            detect_ship(Pattern(R_PENTOMINO), population_factor=factor)
+
+    @pytest.mark.parametrize("factor", BAD)
+    def test_board(self, factor):
+        with pytest.raises(ValueError, match="population_factor"):
+            Board(Pattern(R_PENTOMINO), 4, population_factor=factor)
+
+
+class TestBodies:
+    def test_matched_corners_and_the_union_box_are_absolute(self):
+        glider = catalog_pattern("glider")
+        x, y = 2**40, -(2**40)
+        block = {(x + 10, y + 20), (x + 11, y + 20), (x + 10, y + 21), (x + 11, y + 21)}
+        loose = {(x - 30, y + 5)}
+        cells = {(x + gx, y + gy) for gx, gy in glider.cells} | block | loose
+        board = Board(Pattern(frozenset(cells)), 0, margin=2)
+        shape, _ = Board(glider, 0).shape()
+        matched, union = board.bodies({5: {shape: "glider"}})
+        assert matched == {(shape, (x, y)): "glider"}
+        assert union == (x - 30, y + 5, x + 11, y + 21)
+
+    def test_nothing_unmatched_gives_no_union_box(self):
+        glider = catalog_pattern("glider")
+        shape, _ = Board(glider, 0).shape()
+        matched, union = Board(glider, 0, margin=2).bodies({5: {shape: 1}})
+        assert matched == {(shape, (0, 0)): 1} and union is None
+        assert Board(Pattern(frozenset()), 0, margin=2).bodies({}) == ({}, None)
+
+    def test_needs_the_merge_radius_as_margin(self):
+        with pytest.raises(ValueError, match="margin"):
+            Board(catalog_pattern("glider"), 4, margin=1).bodies({})
+
+
 class TestPlannedRun:
     def test_board_refuses_steps_past_its_planned_run(self):
         board = Board(catalog_pattern("glider"), 4)

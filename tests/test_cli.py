@@ -319,6 +319,29 @@ class TestExplosionFactor:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--v1", "1/2", "--v2x", "1/2"],
+            ["catalog", "--list"],
+            ["verify", "--suite", "parallel"],
+            ["emissions", "GLIDER", "--horizon", "20"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    def test_commands_without_a_bound_ignore_the_environment(
+        self, capsys, monkeypatch, glider_file, argv, fmt
+    ):
+        argv = [glider_file if a == "GLIDER" else a for a in argv] + ["--format", fmt]
+        monkeypatch.delenv(EXPLOSION_FACTOR_ENV, raising=False)
+        code, unset, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv(EXPLOSION_FACTOR_ENV, "much")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == unset
+        assert err == ""
+
     def test_run_names_the_first_generation_over_the_bound(self, capsys, tmp_path):
         path = tmp_path / "r.rle"
         path.write_text(R_PENTOMINO_RLE)

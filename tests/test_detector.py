@@ -10,7 +10,6 @@ from lifeframes.detector import (
     EmissionEvent,
     ExplosiveGrowthError,
     ShipReport,
-    _component_labels,
     detect_emissions,
     detect_ship,
 )
@@ -18,6 +17,7 @@ from lifeframes.engine import (
     CoordinateOverflowError,
     EmptyPatternError,
     Pattern,
+    _component_labels,
     _pack,
     _packed_origin,
     _unpack,
