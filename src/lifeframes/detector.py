@@ -17,6 +17,7 @@ table, the tracks, the escape rule and the velocities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,7 +102,8 @@ def detect_ship(
     pattern may still be periodic with a longer period, or may never
     settle).  Raises ExplosiveGrowthError when the population grows
     past population_factor times the initial count, or the bounding
-    box past max_extent on a side, before any recurrence.  The run is
+    box past max_extent on a side, before any recurrence; a max_extent
+    that is nan, infinite or below 1 raises ValueError.  The run is
     planned on packed keys up front, so a board whose extent plus
     2 x max_period exceeds 2**31, or whose run could leave the signed
     64-bit range, raises CoordinateOverflowError before any step.
@@ -110,6 +112,9 @@ def detect_ship(
         raise EmptyPatternError("cannot measure an empty pattern")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
+    # Every comparison with nan is false, so nan is refused here too.
+    if not 1 <= max_extent < math.inf:
+        raise ValueError(f"max_extent must be finite and >= 1, not {max_extent!r}")
     board = Board(p, max_period, population_factor=population_factor)
     first, (x0, y0, _, _) = board.shape()
     phases = [translate(p, -x0, -y0)]

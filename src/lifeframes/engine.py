@@ -9,9 +9,10 @@ advanced in place by a vectorized numpy pass.  It serves any run whose
 extent plus twice its length fits a 31-bit field, wherever the board
 sits.  Only ``step_n`` falls back to the Python pass, for wider
 boards.  Both paths produce bit-identical cell sets and apply the same
-population guard.  The board also splits itself into bodies for the
-census and looks them up by shape, so the key format stays in this
-module.
+population guard.  A board that recurs, in place or moved, jumps
+exactly over the whole periods left of a run.  The board also splits
+itself into bodies for the census and looks them up by shape, so the
+key format stays in this module.
 """
 
 from __future__ import annotations
@@ -248,6 +249,17 @@ def _component_labels(keys: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
+def _shift(old: np.ndarray, new: np.ndarray) -> int | None:
+    """The packed move taking sorted keys old onto new, or None."""
+    # Relative to the box corner, as in ``Board.shape``: relative to the
+    # first key, keys could alias across the y field.
+    a, b = (
+        int(k[0] >> _FIELD_BITS << _FIELD_BITS) + int((k & (_FIELD - 1)).min())
+        for k in (old, new)
+    )
+    return b - a if np.array_equal(old - a, new - b) else None
+
+
 def _check_factor(factor: float | None) -> None:
     """Refuse a population factor that is nan, infinite or not above 0."""
     # Every comparison with nan is false, so nan is refused here too.
@@ -309,15 +321,30 @@ class Board:
         return self._keys.size
 
     def step(self, generations: int = 1) -> None:
-        """Advance in place; an empty board only counts the generations."""
+        """Advance in place; an empty board only counts the generations.
+
+        A board that recurs, in place or moved, jumps exactly over the
+        whole periods left (Brent's cycle search, one saved board); the
+        cycle's populations have all passed the growth check.
+        """
         end = self.generation + generations
         if end > self._end:
             raise ValueError("stepping past the run the board was packed for")
         first, count = self._start
+        saved, saved_at, power = self._keys, self.generation, 1
         while self.generation < end and self._keys.size:
             self._keys = _evolve_np(self._keys)
             self.generation += 1
             _check_growth(count, self._factor, self._keys.size, self.generation - first)
+            if self.generation < end and self._keys.size == saved.size:
+                shift = _shift(saved, self._keys)
+                if shift is not None:
+                    period = self.generation - saved_at
+                    cycles = (end - self.generation) // period
+                    self._keys = self._keys + cycles * shift
+                    self.generation += cycles * period
+            if self.generation - saved_at == power:
+                saved, saved_at, power = self._keys, self.generation, 2 * power
         self.generation = end
 
     def shape(self) -> tuple[bytes, Box]:
@@ -403,9 +430,11 @@ class Board:
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
     """n-fold iteration of ``step``.
 
-    With a population_factor, raises ExplosiveGrowthError at the first
-    generation whose population exceeds that factor times p's; a factor
-    that is nan, infinite or not above 0 raises ValueError.
+    On the packed path a board that recurs, in place or moved, jumps
+    exactly over the whole periods left.  With a population_factor,
+    raises ExplosiveGrowthError at the first generation whose
+    population exceeds that factor times p's; a factor that is nan,
+    infinite or not above 0 raises ValueError.
     """
     _check_factor(population_factor)
     if n < 0:

@@ -2,22 +2,31 @@
 
 The detector is checked against ``ship_reference``, which steps with
 the Python ``step`` and compares canonical cell sets; the population
-guard is checked on both of step_n's paths.
+guard is checked on both of step_n's paths.  The jump over whole
+periods of a recurring board is checked against plain stepping.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ship_reference
+from test_census import scenes
 from lifeframes import catalog, engine
-from lifeframes.catalog import catalog_pattern, named_ship_catalog
-from lifeframes.detector import DEFAULT_MAX_EXTENT, detect_ship
+from lifeframes.catalog import (
+    catalog_pattern,
+    gun_battery,
+    named_ship_catalog,
+    ship_catalog,
+)
+from lifeframes.detector import DEFAULT_MAX_EXTENT, detect_emissions, detect_ship
 from lifeframes.engine import (
     Board,
     CoordinateOverflowError,
     ExplosiveGrowthError,
     Pattern,
+    _evolve_py,
     step_n,
 )
 
@@ -81,6 +90,16 @@ class TestFactorCheck:
     def test_board(self, factor):
         with pytest.raises(ValueError, match="population_factor"):
             Board(Pattern(R_PENTOMINO), 4, population_factor=factor)
+
+
+class TestMaxExtentCheck:
+    """A max_extent that is nan, infinite or below 1 is refused before any step."""
+
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0, -1])
+    def test_detect_ship(self, monkeypatch, extent):
+        _forbid(monkeypatch, "_evolve_np")
+        with pytest.raises(ValueError, match="max_extent"):
+            detect_ship(Pattern(R_PENTOMINO), population_factor=100, max_extent=extent)
 
 
 class TestBodies:
@@ -171,3 +190,69 @@ class TestDetectShipAgainstSteppingReference:
         measured = named_ship_catalog()
         monkeypatch.setattr(catalog, "detect_ship", ship_reference.detect_ship)
         assert named_ship_catalog() == measured
+
+
+def _stepped(p, n):
+    """p after n generations of the plain Python pass."""
+    cells = p.cells
+    for _ in range(n):
+        cells = _evolve_py(cells)
+    return Pattern(cells, p.generation + n)
+
+
+def _run(p, n, factor):
+    """step_n's result, or the generation and population it refused at."""
+    try:
+        return step_n(p, n, population_factor=factor)
+    except ExplosiveGrowthError as exc:
+        return ("explosive", exc.generation, exc.population)
+
+
+class TestRecurrenceJump:
+    """A board that recurs jumps over whole periods and lands exactly."""
+
+    @given(scenes(), st.integers(0, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_catalog_scenes(self, p, n):
+        assert step_n(p, n) == _stepped(p, n)
+
+    def test_battery_around_its_first_jump(self):
+        # One unit repeats from generation 59 with period 30; the
+        # search sees the repeat at generation 94 and jumps from there.
+        battery = gun_battery(1)
+        expected = _stepped(battery, 85)
+        for n in range(85, 131):
+            assert step_n(battery, n) == expected
+            expected = _stepped(expected, 1)
+
+    def test_battery_over_ten_thousand_generations(self):
+        battery = gun_battery(1)
+        assert step_n(battery, 10_000) == _stepped(battery, 10_000)
+
+    @pytest.mark.parametrize(
+        "factor", [1.05, 1.2, 1.5, 1.6, 1.65, 1.7, 1.8, 1.82, 2.0, 3.0, 25.0, 70.0]
+    )
+    @pytest.mark.parametrize("name", ["battery", "r_pentomino"])
+    def test_growth_errors_match_the_python_path(self, monkeypatch, name, factor):
+        p = gun_battery(1) if name == "battery" else Pattern(R_PENTOMINO)
+        packed = _run(p, 1200, factor)
+        monkeypatch.setattr(engine, "_packed_origin", lambda p, n: None)
+        assert packed == _run(p, 1200, factor)
+
+    def test_shapes_compare_from_the_box_corner(self):
+        # Relative to the first key, (0, 5), (1, 0) and (0, 0), (0, F - 5)
+        # both read 0, F - 5, yet they are not translates.
+        field = 2**31
+        old = np.array([5, field], dtype=np.int64)
+        assert engine._shift(old, np.array([0, field - 5], dtype=np.int64)) is None
+        moved = old + 3 * field - 7
+        assert engine._shift(old, moved) == 3 * field - 7
+
+    def test_single_steps_make_no_shape_compare(self, monkeypatch):
+        _forbid(monkeypatch, "_shift")
+        with pytest.raises(AssertionError, match="_shift"):
+            step_n(catalog_pattern("glider"), 10)
+        assert detect_ship(catalog_pattern("glider")).period == 4
+        assert detect_ship(_stepped(gun_battery(1), 59), max_period=40).period == 30
+        events = detect_emissions(catalog_pattern("gosper_gun"), 120, ship_catalog())
+        assert len(events) == 3

@@ -1,12 +1,13 @@
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 from lifeframes.catalog import entry
 from lifeframes.cli import EXPLOSION_FACTOR_ENV, main
-from lifeframes.engine import step_n
+from lifeframes.engine import bounding_box, step_n
 from lifeframes.patterns import PatternDocument, emit_rle, parse_rle
 
 GLIDER_RLE = "x = 3, y = 3, rule = B3/S23\nbo$2bo$3o!\n"
@@ -52,6 +53,24 @@ class TestRun:
         assert code == 0
         tail = out.splitlines()[-3:]
         assert tail == ["generation=4", "population=5", "box=1,1,3,3"]
+
+    def test_a_billion_generations_of_a_glider(self, capsys, glider_file):
+        # The glider recurs moved by (1, 1) every 4 generations, so the
+        # run jumps over whole periods instead of stepping each one.
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "run", glider_file, "--gens", "1000000000", "--format", "machine"
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 0
+        assert err == ""
+        x0, y0, x1, y1 = bounding_box(parse_rle(GLIDER_RLE).to_pattern())
+        d = 250_000_000
+        assert out.splitlines()[-3:] == [
+            "generation=1000000000",
+            "population=5",
+            f"box={x0 + d},{y0 + d},{x1 + d},{y1 + d}",
+        ]
 
     def test_pattern_that_dies(self, capsys, tmp_path):
         path = tmp_path / "sparks.rle"
