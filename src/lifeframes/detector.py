@@ -12,13 +12,15 @@ engine's packed ``Board`` and compare its opaque canonical shapes.
 The board also splits itself into bodies for the census and looks
 them up in the census's catalog table, so no generation is unpacked
 into Python cell sets and this module holds only census policy: the
-table, the tracks, the escape rule and the velocities.
+table, the tracks, the escape rule and the velocities.  The census
+state is translation-equivariant, so once it repeats the census
+replays its remaining events exactly instead of stepping on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .engine import (
@@ -193,6 +195,29 @@ class _Track:
     confirmed: bool = False
 
 
+def _census_state(board: Board, tracks: dict, generation: int) -> tuple[tuple, Cell]:
+    """The census state modulo translation, and the box corner it is taken at.
+
+    The board's shape and the tracks, anchors taken from the corner; a
+    confirmed track is only its key, as it can change no output again.
+    """
+    shape, (cx, cy, _, _) = board.shape() if board.population else (None, (0,) * 4)
+    rows = []
+    for (s, (x, y)), t in tracks.items():
+        row = (s, x - cx, y - cy)
+        if not t.confirmed:
+            fx, fy = t.first_anchor
+            row += (generation - t.first_generation, fx - cx, fy - cy, t.first_gap)
+        rows.append(row)
+    return (shape, frozenset(rows)), (cx, cy)
+
+
+def _moved(event: EmissionEvent, generations: int, dx: int, dy: int) -> EmissionEvent:
+    """The same event, born generations later and first sighted (dx, dy) away."""
+    (x, y), born = event.first_sighting, event.birth_generation + generations
+    return replace(event, birth_generation=born, first_sighting=(x + dx, y + dy))
+
+
 def detect_emissions(
     p: Pattern,
     horizon: int,
@@ -208,6 +233,14 @@ def detect_emissions(
     number of periods later, strictly farther from the non-matching
     main body than at first sighting.  Velocity is the measured anchor
     shift divided by the elapsed generations.
+
+    Once the census state (the board's shape and its tracks, taken from
+    the box corner; Brent's search) repeats with period P and move m,
+    each later generation confirms the events of P generations before,
+    born P later and first sighted m away: those are replayed and the
+    stepping stops.  A board that settles costs only its transient (the
+    23-gun battery: from generation 59, period 30, seen at 93); one that
+    never does, like the gun, steps on, about horizon**1.5 in time.
 
     The board runs on packed keys, which hold the extent plus
     2 x (horizon + 2) cells on a side (the 2 is the merge radius).  A
@@ -240,10 +273,31 @@ def detect_emissions(
             ):
                 raise ValueError("two catalog ships share a phase shape")
 
-    events: list[EmissionEvent] = []
+    # Each event with the generation that confirmed it.
+    confirmed: list[tuple[int, EmissionEvent]] = []
     # Live tracks keyed by the sighting each should make next.
     tracks: dict[tuple[bytes, Cell], _Track] = {}
+    # Brent's cycle search: one saved census state, replaced whenever
+    # the generations since it was saved reach a power of two.
+    saved_at, power, saved_population = 0, 1, board.population
+    saved, saved_corner = _census_state(board, tracks, 0)
     for generation in range(horizon + 1):
+        if generation > saved_at and board.population == saved_population:
+            state, corner = _census_state(board, tracks, generation)
+            if state == saved:
+                period = generation - saved_at
+                mx, my = corner[0] - saved_corner[0], corner[1] - saved_corner[1]
+                cycle = [(t, e) for t, e in confirmed if t >= saved_at]
+                for k in range(1, (horizon - saved_at) // period + 1 if cycle else 1):
+                    confirmed += [
+                        (t + k * period, _moved(e, k * period, k * mx, k * my))
+                        for t, e in cycle
+                        if t + k * period <= horizon
+                    ]
+                break
+        if generation - saved_at == power:
+            saved, saved_corner = _census_state(board, tracks, generation)
+            saved_at, power, saved_population = generation, 2 * power, board.population
         matched, body = board.bodies(table)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():
@@ -260,17 +314,16 @@ def detect_emissions(
                 ):
                     track.confirmed = True
                     x0, y0 = track.first_anchor
-                    events.append(
-                        EmissionEvent(
-                            birth_generation=track.first_generation,
-                            ship=entry.report,
-                            ground_velocity=(
-                                Fraction(anchor[0] - x0, elapsed),
-                                Fraction(anchor[1] - y0, elapsed),
-                            ),
-                            first_sighting=track.first_anchor,
-                        )
+                    event = EmissionEvent(
+                        birth_generation=track.first_generation,
+                        ship=entry.report,
+                        ground_velocity=(
+                            Fraction(anchor[0] - x0, elapsed),
+                            Fraction(anchor[1] - y0, elapsed),
+                        ),
+                        first_sighting=track.first_anchor,
                     )
+                    confirmed.append((generation, event))
             dx, dy = entry.step_offset
             following[(entry.next_shape, (anchor[0] + dx, anchor[1] + dy))] = track
         tracks = following
@@ -278,5 +331,6 @@ def detect_emissions(
         if generation < horizon:
             board.step()
 
+    events = [event for _, event in confirmed]
     events.sort(key=lambda e: (e.birth_generation, e.first_sighting))
     return events

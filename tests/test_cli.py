@@ -5,13 +5,24 @@ import time
 
 import pytest
 
-from lifeframes.catalog import entry
+from lifeframes import detector
+from lifeframes.catalog import entry, gun_battery
 from lifeframes.cli import EXPLOSION_FACTOR_ENV, main
 from lifeframes.engine import bounding_box, step_n
 from lifeframes.patterns import PatternDocument, emit_rle, parse_rle
 
 GLIDER_RLE = "x = 3, y = 3, rule = B3/S23\nbo$2bo$3o!\n"
 R_PENTOMINO_RLE = "x = 3, y = 3, rule = B3/S23\nb2o$2o$bo!\n"
+BLOCK_RLE = "x = 2, y = 2, rule = B3/S23\n2o$2o!\n"
+DYING_PAIR_RLE = "x = 2, y = 1, rule = B3/S23\n2o!\n"
+
+
+def settled_rle(name):
+    if name == "lwss":
+        return entry("lwss").rle
+    if name == "battery":
+        return emit_rle(PatternDocument.from_pattern(gun_battery(23)))
+    return {"glider": GLIDER_RLE, "block": BLOCK_RLE, "pair": DYING_PAIR_RLE}[name]
 
 
 @pytest.fixture()
@@ -293,6 +304,55 @@ class TestEmissions:
         assert "v2y=1/2" in out
         assert "consistent=yes" in out
         assert "consistent=no" not in out
+
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("glider", ["ship=glider", "birth=0", "x=0", "y=0", "vx=1/4", "vy=1/4"]),
+            ("lwss", ["ship=lwss", "birth=0", "x=0", "y=0", "vx=-1/2", "vy=0/1"]),
+            ("block", []),
+            ("pair", []),
+            ("battery", []),
+        ],
+        ids=["glider", "lwss", "block", "pair", "battery"],
+    )
+    def test_a_billion_generations_of_a_settled_board(
+        self, capsys, tmp_path, name, expected
+    ):
+        # Once the census state repeats, the rest of the horizon is
+        # replayed instead of stepped.
+        path = tmp_path / f"{name}.rle"
+        path.write_text(settled_rle(name))
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "emissions",
+            str(path),
+            "--horizon",
+            "1000000000",
+            "--format",
+            "machine",
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 0
+        assert err == ""
+        head = [f"events={1 if expected else 0}"] + (["event=1"] if expected else [])
+        assert out.splitlines() == head + expected
+
+    @pytest.mark.parametrize("name", ["glider", "lwss", "block"])
+    def test_settled_board_matches_the_unjumped_census(
+        self, capsys, tmp_path, monkeypatch, name
+    ):
+        path = tmp_path / f"{name}.rle"
+        path.write_text(settled_rle(name))
+        argv = ["emissions", str(path), "--horizon", "100", "--format", "machine"]
+        jumped = run_cli(capsys, *argv)
+        def never_equal(board, tracks, generation):
+            return object(), (0, 0)
+
+        monkeypatch.setattr(detector, "_census_state", never_equal)
+        assert run_cli(capsys, *argv) == jumped
 
 
 class TestExplosionFactor:
