@@ -47,6 +47,8 @@ Rationalish = Union[Fraction, int]
 
 
 def _exact(value: Rationalish, name: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational, not a float")
     return Fraction(value)
@@ -54,7 +56,7 @@ def _exact(value: Rationalish, name: str) -> Fraction:
 
 def _unit_interval(value: Rationalish, name: str) -> Fraction:
     v = _exact(value, name)
-    if not 0 <= v <= 1:
+    if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return v
 
@@ -108,12 +110,14 @@ def chebyshev_speed(v: Velocity2) -> Fraction:
 def compose_parallel(v1: Rationalish, v2: Rationalish) -> Fraction:
     """Ground speed of a bullet fired along its carrier's course.
 
-    v1 + v2 - v1*v2, exactly.  Fixes 1 (light is light in every frame)
-    and never leaves [0, 1] for inputs in [0, 1].
+    v1 + v2 - v1*v2, exactly, normalised once.  Fixes 1 (light is
+    light in every frame) and never leaves [0, 1] for inputs in [0, 1].
     """
     a = _unit_interval(v1, "v1")
     b = _unit_interval(v2, "v2")
-    return a + b - a * b
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    return Fraction(an * bd + bn * ad - an * bn, ad * bd)
 
 
 def galilean(v1: Rationalish, v2: Rationalish) -> Fraction:
@@ -221,16 +225,39 @@ def deviation(v1: Rationalish, v2: Rationalish) -> DeviationReport:
     return DeviationReport(v1=a, v2=b, delta=delta)
 
 
+def _row_peak(m: int, i: int) -> int:
+    """First j in [0, M] maximizing j*(M-j) / (M^2 + i*j), for 0 < i < M."""
+    m2 = m * m
+    lo, hi = 0, m - 1
+    while lo < hi:
+        j = (lo + hi) // 2
+        ij = i * j
+        # g_i(j) >= g_i(j+1), with the row's factor i*(M-i)/M^2 cancelled
+        if j * (m - j) * (m2 + ij + i) >= (j + 1) * (m - j - 1) * (m2 + ij):
+            hi = j
+        else:
+            lo = j + 1
+    return lo
+
+
 def max_deviation_scan(step: Rationalish) -> DeviationReport:
-    """Exhaustively maximize the deviation over the grid {0, step, .., 1}^2.
+    """Maximize the deviation over the grid {0, step, .., 1}^2, exactly.
 
     ``step`` must divide 1.  Runs in pure integer arithmetic: with
     step = 1/M the value at (i/M, j/M) is
 
-        i*j*(M-i)*(M-j) / (M^2 * (M^2 + i*j))
+        g_i(j) = i*(M-i) * j*(M-j) / (M^2 * (M^2 + i*j))
 
-    and candidates are compared by cross-multiplication, so the result
-    is the exact maximum and its first grid point in row-major order.
+    Rows i = 0 and i = M are all zero.  For 0 < i < M and lam > 0,
+    g_i(j) >= lam exactly where a strictly concave quadratic in j,
+    i*(M-i)*j*(M-j) - lam*M^2*(M^2 + i*j), is >= 0.  So on the integers
+    g_i rises strictly to its maximum, on one j or two adjacent ones,
+    and falls strictly after it: the first j with g_i(j) >= g_i(j+1),
+    found by bisection in integer cross-multiplication, is the row's
+    first maximizer.  Row peaks are compared in row order with a
+    strict >, so the result is the exact maximum and its first grid
+    point in row-major order, in about 2*M*log2(M) evaluations
+    instead of (M+1)^2.
     """
     s = _exact(step, "step")
     if s <= 0 or (1 / s).denominator != 1:
@@ -240,15 +267,13 @@ def max_deviation_scan(step: Rationalish) -> DeviationReport:
 
     best_num, best_den = 0, 1
     best_i, best_j = 0, 0
-    for i in range(m + 1):
-        left = m - i
-        for j in range(m + 1):
-            ij = i * j
-            num = ij * left * (m - j)
-            den = m2 * (m2 + ij)
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_i, best_j = i, j
+    for i in range(1, m):
+        j = _row_peak(m, i)
+        num = i * (m - i) * j * (m - j)
+        den = m2 * (m2 + i * j)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+            best_i, best_j = i, j
     return DeviationReport(
         v1=Fraction(best_i, m),
         v2=Fraction(best_j, m),

@@ -126,7 +126,10 @@ def run_carrier_bullet(
             f"{rest_count} carrier rest moves"
         )
     carrier = _pick(range(p), carrier_jump_count, carrier_jumps)
-    rests = [t for t in range(p) if t not in carrier]
+    if carrier_jumps is None:
+        rests: Sequence[int] = range(carrier_jump_count, p)
+    else:
+        rests = [t for t in range(p) if t not in carrier]
     bullet = _pick(rests, bullet_jump_count, bullet_jumps)
     return CarrierBulletRun(p, carrier, bullet)
 

@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scan_reference import scan_all_points
 
 from lifeframes.kinematics import (
     CompositionResult,
     DeviationReport,
     Velocity2,
+    _row_peak,
     chebyshev_speed,
     compose_oblique,
     compose_parallel,
@@ -25,6 +28,21 @@ from lifeframes.kinematics import (
 unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
 signed = st.fractions(min_value=-1, max_value=1, max_denominator=32)
 carrier = st.fractions(min_value=0, max_value=F(63, 64), max_denominator=64)
+
+
+@st.composite
+def shared_denominators(draw):
+    """Two unit-interval fractions whose denominators share a factor."""
+    k = draw(st.integers(min_value=2, max_value=30))
+    d1 = k * draw(st.integers(min_value=1, max_value=30))
+    d2 = k * draw(st.integers(min_value=1, max_value=30))
+    n1 = draw(st.integers(min_value=0, max_value=d1))
+    n2 = draw(st.integers(min_value=0, max_value=d2))
+    return F(n1, d1), F(n2, d2)
+
+
+class _Rational(F):
+    """A Fraction subclass: accepted, but handed back as a plain Fraction."""
 
 
 class TestWorkedNumbers:
@@ -166,6 +184,46 @@ class TestGuards:
         assert chebyshev_speed(Velocity2(F(1, 4), F(-1, 2))) == F(1, 2)
 
 
+class TestExactInputs:
+    @given(
+        unit,
+        st.floats(min_value=0, max_value=1),
+        st.sampled_from([float, np.float64]),
+    )
+    def test_floats_refused_in_either_place(self, v, x, kind):
+        x = kind(x)
+        for args in ((x, v), (v, x)):
+            with pytest.raises(TypeError):
+                compose_parallel(*args)
+            with pytest.raises(TypeError):
+                Velocity2(*args)
+
+    @given(st.sampled_from([0, 1, False, True]), unit)
+    def test_ints_and_bools_accepted(self, n, v):
+        assert compose_parallel(n, v) == compose_parallel(F(n), v)
+        assert compose_parallel(v, n) == compose_parallel(v, F(n))
+        assert Velocity2(n, v) == Velocity2(F(n), v)
+
+    @given(unit, unit)
+    def test_fraction_subclass_accepted(self, a, b):
+        result = compose_parallel(_Rational(a), _Rational(b))
+        assert type(result) is F
+        assert result == compose_parallel(a, b)
+        v = Velocity2(_Rational(a), _Rational(b))
+        assert type(v.vx) is F and type(v.vy) is F
+        assert v == Velocity2(a, b)
+
+    @given(st.one_of(st.tuples(unit, unit), shared_denominators()))
+    @example((F(1, 6), F(1, 4)))  # 9/24 before normalising
+    def test_equals_operator_form_and_is_normalised(self, pair):
+        a, b = pair
+        result = compose_parallel(a, b)
+        assert type(result) is F
+        assert result == a + b - a * b
+        assert result.denominator > 0
+        assert math.gcd(result.numerator, result.denominator) == 1
+
+
 class TestScan:
     def test_coarse_grid_peaks_at_center(self):
         report = max_deviation_scan(F(1, 4))
@@ -191,6 +249,23 @@ class TestScan:
                     assert (report.v1, report.v2) == (F(i, m), F(j, m))
                     return
         pytest.fail("scan maximum not on its own grid")
+
+    def test_equals_the_full_grid_scan(self):
+        for m in [*range(1, 151), 256, 500]:
+            assert max_deviation_scan(F(1, m)) == scan_all_points(m), m
+
+    @pytest.mark.parametrize("m", [*range(2, 41), 105, 231, 390])
+    def test_row_peak_is_the_first_maximizer_of_its_row(self, m):
+        # Row 5 of M=10, row 27 of M=36 and one row each of M=105, 231
+        # and 390 peak on two adjacent j; the first of the two must win.
+        for i in range(1, m):
+            row = [F(j * (m - j), m * m + i * j) for j in range(m + 1)]
+            assert _row_peak(m, i) == row.index(max(row)), (m, i)
+
+    def test_thousandth_grid_is_pinned(self):
+        assert max_deviation_scan(F(1, 1000)) == DeviationReport(
+            F(453, 1000), F(453, 1000), F(61400379681, 1205209000000)
+        )
 
     def test_step_must_divide_one(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lifeframes.kinematics import compose_parallel
+from lifeframes import tokens
+from lifeframes.kinematics import compose_parallel, galilean
 from lifeframes.tokens import (
     CarrierBulletRun,
     ScheduleError,
@@ -137,6 +138,23 @@ class TestExhaustive:
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             exhaustive_check(0)
+
+    def test_a_wrong_law_is_caught(self, monkeypatch):
+        # The Galilean sum agrees with the token runs only when one of
+        # the two tokens never jumps.
+        monkeypatch.setattr(tokens, "compose_parallel", galilean)
+        report = exhaustive_check(6)
+        expected = tuple(
+            (p, n1, n2)
+            for p in range(1, 7)
+            for n1 in range(p + 1)
+            for n2 in range(p - n1 + 1)
+            if n1 * n2 > 0
+        )
+        assert len(expected) == 35
+        assert report.cases == 83
+        assert report.counterexamples == expected
+        assert not report.consistent
 
 
 @given(
