@@ -14,7 +14,9 @@ them up in the census's catalog table, so no generation is unpacked
 into Python cell sets and this module holds only census policy: the
 table, the tracks, the escape rule and the velocities.  The census
 state is translation-equivariant, so once it repeats the census
-replays its remaining events exactly instead of stepping on.
+replays its remaining events exactly instead of stepping on.  A
+confirmed ship clear of the rest evolves alone, so it leaves the board
+until it comes near it again, and a board whose ships escape repeats.
 """
 
 from __future__ import annotations
@@ -179,10 +181,34 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     return out
 
 
-def _gap(anchor: Cell, entry: _PhaseEntry, body: Box) -> int:
-    """Chebyshev distance from the phase's box at anchor to body (0 when touching)."""
-    (x, y), (w, h) = anchor, entry.extent
-    return max(body[0] - x - w, x - body[2], body[1] - y - h, y - body[3], 0)
+def _box(anchor: Cell, extent: Cell) -> Box:
+    (x, y), (w, h) = anchor, extent
+    return x, y, x + w, y + h
+
+
+def _shifted(box: Box, v: Cell, k: int) -> Box:
+    """box moved by k·v."""
+    dx, dy = k * v[0], k * v[1]
+    return box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy
+
+
+def _union(a: Box | None, b: Box | None) -> Box | None:
+    if a is None or b is None:
+        return a or b
+    return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
+
+
+def _gap(a: Box, b: Box | None):
+    """Chebyshev distance between two boxes: 0 when touching, inf from None."""
+    if b is None:
+        return math.inf
+    return max(b[0] - a[2], a[0] - b[2], b[1] - a[3], a[1] - b[3], 0)
+
+
+def _next(entry: _PhaseEntry, anchor: Cell) -> tuple[bytes, Cell]:
+    """The sighting a ship in this phase at anchor makes a generation later."""
+    (x, y), (dx, dy) = anchor, entry.step_offset
+    return entry.next_shape, (x + dx, y + dy)
 
 
 @dataclass
@@ -193,6 +219,96 @@ class _Track:
     first_anchor: Cell
     first_gap: int | None
     confirmed: bool = False
+
+
+# Cells 3 apart (Chebyshev) share no neighbour, so parts of the board
+# that far apart evolve on their own for the next generation.
+_APART = MERGE_RADIUS + 1
+
+
+@dataclass
+class _Retired:
+    """A confirmed ship off the board since generation.
+
+    Its hull and velocity are in units of 1/scale cells, so that both
+    are whole: its cells at generation t lie in hull + t·velocity, hull
+    being the union over one period of its phase boxes less t·velocity.
+    """
+
+    generation: int
+    scale: int
+    velocity: Cell
+    hull: Box
+
+
+def _retired(key, generation: int, phases: dict, scale: int) -> _Retired:
+    """The ship sighted at key = (shape, anchor), retired at generation."""
+    report, hull = phases[key[0]].report, None
+    v = tuple(d * scale // report.period for d in report.displacement)
+    for t in range(generation, generation + report.period):
+        entry = phases[key[0]]
+        box = tuple(c * scale for c in _box(key[1], entry.extent))
+        hull = _union(hull, _shifted(box, v, -t))
+        key = _next(entry, key[1])
+    return _Retired(generation, scale, v, hull)
+
+
+def _alone(key: tuple[bytes, Cell], matched: dict, body: Box | None) -> bool:
+    """Whether the matched body at key is _APART from the box of all other bodies."""
+    ship = _box(key[1], matched[key].extent)
+    if _gap(ship, body) < _APART:
+        return False
+    rest = body
+    for other, entry in matched.items():
+        if other != key:
+            rest = _union(rest, _box(other[1], entry.extent))
+    return _gap(ship, rest) >= _APART
+
+
+def _apart_for_good(a: Box, b: Box, w: Cell, k: int, apart: int) -> bool:
+    """Whether a + j·w is at least apart from b for every j >= k.
+
+    The gap is convex in j, so at least apart at k and no smaller at
+    k + 1 suffices.
+    """
+    now, then = (_gap(_shifted(a, w, j), b) for j in (k, k + 1))
+    return now >= apart and then >= now
+
+
+def _keeps_apart(ship: _Retired, retired, generation: int) -> bool:
+    """Whether ship, retiring at generation, stays _APART from every retired ship."""
+    for o in retired:
+        w = ship.velocity[0] - o.velocity[0], ship.velocity[1] - o.velocity[1]
+        if not _apart_for_good(ship.hull, o.hull, w, generation, _APART * ship.scale):
+            return False
+    return True
+
+
+def _replay_keeps_apart(retired, boxes, saved_at: int, period: int, move: Cell) -> bool:
+    """Whether replaying whole periods keeps every retired ship off the board.
+
+    boxes holds the board's box (or None) by generation, at least over
+    the last period when a ship is retired.  In a retired ship's frame,
+    each later period moves those boxes, and the hulls of the ships
+    retired during the period, by w = move − period·v.  A ship retired
+    during the period at another velocity than a retired one refuses.
+    """
+    boxes = [(t, box) for t, box in boxes if saved_at <= t < saved_at + period]
+    cycle = [o for o in retired if o.generation >= saved_at]
+    velocities = {o.velocity for o in retired}
+    if (retired and len(boxes) < period) or (cycle and len(velocities) > 1):
+        return False
+    for ship in retired:
+        (vx, vy), s = ship.velocity, ship.scale
+        w = move[0] * s - period * vx, move[1] * s - period * vy
+        hulls = [o.hull for o in cycle] + [
+            _shifted(tuple(c * s for c in box), ship.velocity, -t)
+            for t, box in boxes
+            if box is not None
+        ]
+        if not all(_apart_for_good(h, ship.hull, w, 1, _APART * s) for h in hulls):
+            return False
+    return True
 
 
 def _census_state(board: Board, tracks: dict, generation: int) -> tuple[tuple, Cell]:
@@ -238,9 +354,20 @@ def detect_emissions(
     the box corner; Brent's search) repeats with period P and move m,
     each later generation confirms the events of P generations before,
     born P later and first sighted m away: those are replayed and the
-    stepping stops.  A board that settles costs only its transient (the
-    23-gun battery: from generation 59, period 30, seen at 93); one that
-    never does, like the gun, steps on, about horizon**1.5 in time.
+    stepping stops.
+
+    Escaped ships leave the board, so the gun's census repeats too (as
+    the 23-gun battery's: period 30, seen at 93).  Cells 3 apart share
+    no neighbour, and ship hulls move linearly, so gaps between them are
+    convex in time.  So it is exact: a confirmed ship whose box is 3
+    clear of all other bodies' box, and whose hull gap to every retired
+    ship is 3 or more and not shrinking, is taken off and evolves alone;
+    before each split, one within 2 of the board's box goes back with
+    its confirmed track, which can change no output meanwhile.  A replay
+    also needs no ship back during the period, and the board's boxes of
+    the period and the hulls of the ships retired in it, moved on by
+    whole periods, to keep 3 from every retired ship's hull.  A board
+    that keeps growing still steps every generation.
 
     The board runs on packed keys, which hold the extent plus
     2 x (horizon + 2) cells on a side (the 2 is the merge radius).  A
@@ -273,20 +400,44 @@ def detect_emissions(
             ):
                 raise ValueError("two catalog ships share a phase shape")
 
+    phases = {shape: e for by_shape in table.values() for shape, e in by_shape.items()}
+    scale = math.lcm(*(r.period for r in ships))
+
     # Each event with the generation that confirmed it.
     confirmed: list[tuple[int, EmissionEvent]] = []
     # Live tracks keyed by the sighting each should make next.
     tracks: dict[tuple[bytes, Cell], _Track] = {}
+    # Ships off the board, keyed like tracks; while there are any, the
+    # board's box of each generation; the last generation one came back.
+    retired: dict[tuple[bytes, Cell], _Retired] = {}
+    boxes: list[tuple[int, Box | None]] = []
+    back_at = -1
     # Brent's cycle search: one saved census state, replaced whenever
     # the generations since it was saved reach a power of two.
     saved_at, power, saved_population = 0, 1, board.population
     saved, saved_corner = _census_state(board, tracks, 0)
     for generation in range(horizon + 1):
+        if retired:
+            box = board.box()
+            boxes.append((generation, box))
+            for key in list(retired):
+                if _gap(_box(key[1], phases[key[0]].extent), box) < _APART:
+                    board.put(*key)
+                    del retired[key]
+                    tracks[key] = _Track(generation, key[1], None, confirmed=True)
+                    back_at = generation
+            retired = {_next(phases[s], a): ship for (s, a), ship in retired.items()}
         if generation > saved_at and board.population == saved_population:
             state, corner = _census_state(board, tracks, generation)
-            if state == saved:
-                period = generation - saved_at
-                mx, my = corner[0] - saved_corner[0], corner[1] - saved_corner[1]
+            period = generation - saved_at
+            mx, my = corner[0] - saved_corner[0], corner[1] - saved_corner[1]
+            if (
+                state == saved
+                and back_at < saved_at
+                and _replay_keeps_apart(
+                    retired.values(), boxes, saved_at, period, (mx, my)
+                )
+            ):
                 cycle = [(t, e) for t, e in confirmed if t >= saved_at]
                 for k in range(1, (horizon - saved_at) // period + 1 if cycle else 1):
                     confirmed += [
@@ -298,19 +449,20 @@ def detect_emissions(
         if generation - saved_at == power:
             saved, saved_corner = _census_state(board, tracks, generation)
             saved_at, power, saved_population = generation, 2 * power, board.population
+            boxes = [(t, box) for t, box in boxes if t >= generation]
         matched, body = board.bodies(table)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():
             track = tracks.get((shape, anchor))
             if track is None:
-                gap = None if body is None else _gap(anchor, entry, body)
+                gap = None if body is None else _gap(_box(anchor, entry.extent), body)
                 track = _Track(generation, anchor, gap)
             elif not track.confirmed:
                 elapsed = generation - track.first_generation
                 if elapsed % entry.report.period == 0 and (
                     body is None
                     or track.first_gap is None
-                    or _gap(anchor, entry, body) > track.first_gap
+                    or _gap(_box(anchor, entry.extent), body) > track.first_gap
                 ):
                     track.confirmed = True
                     x0, y0 = track.first_anchor
@@ -324,8 +476,13 @@ def detect_emissions(
                         first_sighting=track.first_anchor,
                     )
                     confirmed.append((generation, event))
-            dx, dy = entry.step_offset
-            following[(entry.next_shape, (anchor[0] + dx, anchor[1] + dy))] = track
+            if track.confirmed and _alone((shape, anchor), matched, body):
+                ship = _retired((shape, anchor), generation, phases, scale)
+                if _keeps_apart(ship, retired.values(), generation):
+                    board.take(shape, anchor)
+                    retired[_next(entry, anchor)] = ship
+                    continue
+            following[_next(entry, anchor)] = track
         tracks = following
 
         if generation < horizon:

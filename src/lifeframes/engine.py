@@ -11,8 +11,8 @@ sits.  Only ``step_n`` falls back to the Python pass, for wider
 boards.  Both paths produce bit-identical cell sets and apply the same
 population guard.  A board that recurs, in place or moved, jumps
 exactly over the whole periods left of a run.  The board also splits
-itself into bodies for the census and looks them up by shape, so the
-key format stays in this module.
+itself into bodies for the census, looks them up by shape, and takes
+them off or puts them back, so the key format stays in this module.
 """
 
 from __future__ import annotations
@@ -347,21 +347,55 @@ class Board:
                 saved, saved_at, power = self._keys, self.generation, 2 * power
         self.generation = end
 
+    def box(self) -> Box | None:
+        """The box (min_x, min_y, max_x, max_y), or None for an empty board."""
+        if not self._keys.size:
+            return None
+        # Keys sort x-major, so the first and last keys hold the x range.
+        x0, x1 = int(self._keys[0] >> _FIELD_BITS), int(self._keys[-1] >> _FIELD_BITS)
+        ys = self._keys & (_FIELD - 1)
+        ox, oy = self._origin
+        return x0 + ox, int(ys.min()) + oy, x1 + ox, int(ys.max()) + oy
+
     def shape(self) -> tuple[bytes, Box]:
         """The canonical shape and the box (min_x, min_y, max_x, max_y).
 
         Shapes are the bytes of the keys relative to the box corner, so
         they are equal exactly when the cells match modulo translation.
         """
-        if not self._keys.size:
+        box = self.box()
+        if box is None:
             raise EmptyPatternError("an empty board has no shape")
-        # Keys sort x-major, so the first and last keys hold the x range.
-        x0, x1 = int(self._keys[0] >> _FIELD_BITS), int(self._keys[-1] >> _FIELD_BITS)
-        ys = self._keys & (_FIELD - 1)
-        y0, y1 = int(ys.min()), int(ys.max())
-        ox, oy = self._origin
-        shape = (self._keys - (x0 * _FIELD + y0)).tobytes()
-        return shape, (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+        x0, y0 = box[0] - self._origin[0], box[1] - self._origin[1]
+        return (self._keys - (x0 * _FIELD + y0)).tobytes(), box
+
+    def _placed(
+        self, shape: bytes, corner: Cell
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The keys of shape at corner, where they sort, and which are live."""
+        keys = np.frombuffer(shape, dtype=np.int64)
+        x, y = corner[0] - self._origin[0], corner[1] - self._origin[1]
+        width, height = int(keys[-1] >> _FIELD_BITS), int((keys & (_FIELD - 1)).max())
+        if min(x, y) < 0 or max(x + width, y + height) >= _FIELD:
+            raise ValueError(f"a body at {corner} is outside the packed fields")
+        keys = keys + (x * _FIELD + y)
+        at = np.searchsorted(self._keys, keys)
+        # Keys are never negative, so -1 stands past the last key.
+        return keys, at, np.append(self._keys, -1)[at] == keys
+
+    def take(self, shape: bytes, corner: Cell) -> None:
+        """Take shape (from ``shape()``) at corner off; ValueError unless all live."""
+        _, at, live = self._placed(shape, corner)
+        if not live.all():
+            raise ValueError(f"the body at {corner} is not all live")
+        self._keys = np.delete(self._keys, at)
+
+    def put(self, shape: bytes, corner: Cell) -> None:
+        """Put shape at corner on the board; ValueError if any of its cells is live."""
+        keys, at, live = self._placed(shape, corner)
+        if live.any():
+            raise ValueError(f"the body at {corner} overlaps live cells")
+        self._keys = np.insert(self._keys, at, keys)
 
     def bodies(
         self, table: Mapping[int, Mapping[bytes, V]]

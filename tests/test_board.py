@@ -127,6 +127,52 @@ class TestBodies:
             Board(catalog_pattern("glider"), 4, margin=1).bodies({})
 
 
+class TestTakeAndPut:
+    """The census takes escaped ships off the board and puts them back."""
+
+    def _board(self):
+        glider = catalog_pattern("glider")
+        x, y = 2**40, -(2**40)
+        block = frozenset({(x + 9, y), (x + 10, y), (x + 9, y + 1), (x + 10, y + 1)})
+        cells = frozenset((x + gx, y + gy) for gx, gy in glider.cells) | block
+        board = Board(Pattern(cells), 8, margin=2)
+        board.step(4)
+        shape, _ = Board(glider, 0).shape()
+        matched, union = board.bodies({5: {shape: "glider"}})
+        [(shape, corner)] = matched
+        return board, shape, corner, block, union
+
+    def test_a_matched_body_comes_off_and_goes_back(self):
+        board, shape, corner, block, union = self._board()
+        assert corner == (2**40 + 1, -(2**40) + 1)
+        before = board.shape(), board.pattern()
+        board.take(shape, corner)
+        assert board.pattern().cells == block
+        assert board.box() == union
+        board.put(shape, corner)
+        assert (board.shape(), board.pattern()) == before
+        assert board.box() == before[0][1]
+        board.take(*board.shape())
+        assert board.population == 0 and board.box() is None
+
+    def test_a_wrong_body_raises_and_leaves_the_board_alone(self):
+        board, shape, (x, y), _, _ = self._board()
+        before = board.pattern()
+        for corner in [(x + 1, y), (x, y - 1), (x + 8, y - 1)]:
+            with pytest.raises(ValueError, match="not all live"):
+                board.take(shape, corner)
+        for corner in [(x, y), (x + 1, y + 1), (x + 7, y - 2)]:
+            with pytest.raises(ValueError, match="overlaps live cells"):
+                board.put(shape, corner)
+        for corner in [(x - 2**31, y), (x, y + 2**31)]:
+            with pytest.raises(ValueError, match="outside the packed fields"):
+                board.put(shape, corner)
+        assert board.pattern() == before
+        empty = Board(Pattern(frozenset()), 4, margin=2)
+        with pytest.raises(ValueError, match="not all live"):
+            empty.take(shape, (0, 0))
+
+
 class TestPlannedRun:
     def test_board_refuses_steps_past_its_planned_run(self):
         board = Board(catalog_pattern("glider"), 4)

@@ -4,7 +4,9 @@
 breadth-first search and matches canonical cell sets, so it shares
 nothing with the packed board's body split or the census's track
 dictionary.  The census's recurrence jump is also checked against
-the same census with its state search patched never to match.
+the same census with its state search patched never to match, and
+its retirement of escaped ships against the same census with
+retirement patched off.
 """
 
 from unittest import mock
@@ -24,6 +26,8 @@ from lifeframes.catalog import (
 )
 from lifeframes.detector import _Track, detect_emissions
 from lifeframes.engine import Board, Pattern, translate
+
+GLIDER = catalog_pattern("glider").cells
 
 PIECES = [catalog_pattern(e.name).cells for e in CATALOG]
 
@@ -113,10 +117,6 @@ class TestRecurrenceJump:
         assert splits(gun_battery(23), 300, ships) == ([], 93)
         assert splits(gun_battery(23), 10**6, ships) == ([], 93)
 
-    def test_gun_never_settles(self, ships):
-        events, count = splits(catalog_pattern("gosper_gun"), 300, ships)
-        assert (len(events), count) == (9, 301)
-
     def test_replayed_events_repeat_each_period(self, ships):
         # Two mirrored guns whose gliders meet and vanish: two gliders
         # are confirmed every 30 generations and the board never grows.
@@ -161,3 +161,151 @@ class TestRecurrenceJump:
         assert moved == (base, (7, -3))
         done = state(glider, _Track(3, (1, 2), 4, confirmed=True), 10)
         assert state(glider, _Track(0, (9, 9), None, confirmed=True), 20) == done
+
+
+def unretired(p, horizon, ships):
+    """The census with no ship ever retired, so every ship stays on the board."""
+    with mock.patch.object(detector, "_keeps_apart", lambda *args: False):
+        return detect_emissions(p, horizon, ships)
+
+
+def spied(p, horizon, ships):
+    """The census, ships taken off and put back, and replays refused."""
+    take = mock.patch.object(Board, "take", autospec=True, side_effect=Board.take)
+    put = mock.patch.object(Board, "put", autospec=True, side_effect=Board.put)
+    check, refused = detector._replay_keeps_apart, []
+
+    def replay(*args):
+        exact = check(*args)
+        refused.extend([args[2]] * (not exact))
+        return exact
+
+    with take as taken, put as returned:
+        with mock.patch.object(detector, "_replay_keeps_apart", replay):
+            events = detect_emissions(p, horizon, ships)
+    return events, taken.call_count, returned.call_count, refused
+
+
+class TestRetirement:
+    """A confirmed ship far from the rest leaves the board until it comes near again."""
+
+    @given(scenes(), st.integers(4, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_random_scenes(self, ships, scene, horizon):
+        events = detect_emissions(scene, horizon, ships)
+        assert events == unretired(scene, horizon, ships)
+        if horizon <= 60:
+            assert events == census_reference.detect_emissions(scene, horizon, ships)
+
+    def test_gun_settles_once_its_gliders_retire(self, ships):
+        # Each glider leaves the board once 3 cells clear of the gun, so
+        # the board repeats with period 30 and is seen at generation 93.
+        gun = catalog_pattern("gosper_gun").cells
+        for a, b, c, d in _ORIENTATIONS:
+            turned = Pattern(frozenset((a * x + b * y, c * x + d * y) for x, y in gun))
+            for horizon, count in [(300, 9), (2000, 66), (10**6, 33333)]:
+                events, split = splits(turned, horizon, ships)
+                assert (len(events), split) == (count, 93), (a, b, c, d, horizon)
+
+    def test_gliders_meeting_head_on(self, ships):
+        # Both gliders are confirmed at generation 4, well apart, but only
+        # the first leaves the board: the second closes on it.  The first
+        # comes back before they meet, and their collision sends out two
+        # new gliders, born at 17, which both leave the board in turn.
+        scene = Pattern(GLIDER | frozenset((12 - x, 6 - y) for x, y in GLIDER))
+        events, taken, returned, refused = spied(scene, 120, ships)
+        assert (taken, returned) == (3, 1)
+        assert [e.birth_generation for e in events] == [0, 0, 17, 17]
+        assert events == unretired(scene, 120, ships)
+        assert events == census_reference.detect_emissions(scene, 120, ships)
+
+    def test_a_glider_on_its_way_into_a_beehive(self, ships):
+        # The glider leaves the board at generation 4; the rest settles
+        # into a beehive by 7, but every replay from there is refused,
+        # as the glider is heading for it.  It comes back at 13, and the
+        # crash sends out a new glider, born at 23.
+        pre_beehive = {(1, 6), (1, 7), (2, 7), (0, 8), (1, 8), (2, 8)}
+        pre_beehive |= {(0, 9), (1, 9), (2, 9)}
+        scene = Pattern(GLIDER | frozenset(pre_beehive))
+        events, taken, returned, refused = spied(scene, 60, ships)
+        assert returned == 1 and refused and set(refused) == {7}
+        assert [e.birth_generation for e in events] == [0, 23]
+        assert events == unretired(scene, 60, ships)
+        assert events == census_reference.detect_emissions(scene, 60, ships)
+
+    def test_a_blinker_beside_the_stream_brings_each_glider_back(self, ships):
+        # The blinker's box swings by a cell every generation, so each
+        # glider retired 3 cells clear of it comes back for a generation.
+        # No replay may span a generation a ship came back in (it did not
+        # evolve alone over the whole period), so this census steps on.
+        blinker = {(20, 14), (21, 14), (22, 14)}
+        scene = Pattern(catalog_pattern("gosper_gun").cells | blinker)
+        events, taken, returned, refused = spied(scene, 200, ships)
+        assert (taken, returned, refused) == (15, 10, [])
+        assert splits(scene, 200, ships) == (events, 201)
+        assert [e.birth_generation for e in events] == [35, 65, 95, 125, 155]
+        assert events == unretired(scene, 200, ships)
+        assert detect_emissions(scene, 100, ships) == (
+            census_reference.detect_emissions(scene, 100, ships)
+        )
+
+    def test_guns_and_battery_with_nothing_to_retire(self, ships):
+        # The mirrored guns' gliders stay inside the box of the two guns
+        # until they meet, and the battery's gliders never escape, so no
+        # ship leaves the board and the splits stay as they were.
+        gun = catalog_pattern("gosper_gun").cells
+        right = max(x for x, _ in gun) + 37
+        guns = Pattern(gun | frozenset((right - x, y) for x, y in gun))
+        for scene, horizon, count, split in [
+            (guns, 1000, 66, 123),
+            (gun_battery(23), 300, 0, 93),
+        ]:
+            events, taken, returned, _ = spied(scene, horizon, ships)
+            assert (len(events), taken, returned) == (count, 0, 0)
+            assert splits(scene, horizon, ships) == (events, split)
+
+
+class TestRetirementRules:
+    """The hull gaps that keep retired ships apart, on hand-placed gliders.
+
+    A glider moving by (dx, dy) each period of 4 is retired at generation
+    0 with its box corner at corner.
+    """
+
+    @pytest.fixture()
+    def glider(self, ships):
+        phases = {s: e for r in ships for s, e in detector._phase_entries(r)}
+
+        def retire(corner, dx, dy, generation=0):
+            [report] = [r for r in ships if (r.displacement, r.period) == ((dx, dy), 4)]
+            key = (Board(report.phases[0], 0).shape()[0], corner)
+            return detector._retired(key, generation, phases, 4)
+
+        return retire
+
+    def test_ships_retire_only_if_they_never_close_in(self, glider):
+        ahead = glider((0, 0), 1, 1)
+        assert detector._keeps_apart(glider((-10, -10), 1, 1), [ahead], 0)
+        assert detector._keeps_apart(glider((-20, 0), -1, 1), [ahead], 0)
+        # Same velocity, too close; then head-on 20 apart, still 3 clear now.
+        assert not detector._keeps_apart(glider((-4, -4), 1, 1), [ahead], 0)
+        assert not detector._keeps_apart(glider((20, 20), -1, -1), [ahead], 0)
+
+    def test_replay_follows_the_copies_of_the_ships_retired_in_it(self, glider):
+        # Period 30 from generation 10, move 0, like a gun: each copy of a
+        # ship retired in the period lands 7.5 cells behind the one
+        # before.  The older glider, retired at 0, is at (2.5, 2.5) by 10;
+        # one retired at 10 a period or two ahead of it has a copy that
+        # runs into it.
+        older = glider((0, 0), 1, 1)
+        empty = [(t, None) for t in range(10, 40)]
+        for corner, exact in [((-5, -5), True), ((10, 10), False), ((18, 18), False)]:
+            newer = glider(corner, 1, 1, generation=10)
+            replay = detector._replay_keeps_apart([older, newer], empty, 10, 30, (0, 0))
+            assert replay is exact
+        # A ship retired in the period at another velocity refuses the replay.
+        aside = glider((-60, 60), -1, 1, generation=10)
+        assert not detector._replay_keeps_apart([older, aside], empty, 10, 30, (0, 0))
+        # So do boxes missing for a generation of the period.
+        assert not detector._replay_keeps_apart([older], empty[1:], 10, 30, (0, 0))
+        assert detector._replay_keeps_apart([older], empty, 10, 30, (0, 0))

@@ -340,6 +340,23 @@ class TestEmissions:
         head = [f"events={1 if expected else 0}"] + (["event=1"] if expected else [])
         assert out.splitlines() == head + expected
 
+    def test_a_million_generations_of_the_gun(self, capsys, tmp_path):
+        # The gun's gliders leave the board, so its census repeats from
+        # generation 93 and replays a glider every 30 generations.
+        path = tmp_path / "gun.rle"
+        path.write_text(entry("gosper_gun").rle)
+        argv = ["emissions", str(path), "--format", "machine", "--horizon"]
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "1000000")
+        assert time.perf_counter() - started < 5
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "events=33333"
+        assert len(lines) == 1 + 7 * 33333
+        code, short, err = run_cli(capsys, *argv, "2000")
+        assert short.splitlines()[0] == "events=66"
+        assert lines[1 : 1 + 7 * 66] == short.splitlines()[1:]
+
     @pytest.mark.parametrize("name", ["glider", "lwss", "block"])
     def test_settled_board_matches_the_unjumped_census(
         self, capsys, tmp_path, monkeypatch, name
