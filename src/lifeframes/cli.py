@@ -2,8 +2,11 @@
 
 Velocities cross this boundary only as exact fractions like ``2/5``;
 decimal input is rejected so no rounding can sneak in at the edge.
-Output comes in two shapes, a human table and a line-oriented
-``key=value`` form that is byte-stable for identical inputs.
+Each command computes its result once, as one list of rows and the
+table text that shows them, and ``_emit`` renders it both ways: the
+human table, or with ``--format machine`` the rows as ``key=value``
+lines that are byte-stable for identical inputs. ``verify`` and
+``catalog --emit`` print the same text in both formats.
 
 Exit codes: 0 on success, 1 when a check or measurement fails, 2 for
 usage and file-format errors.
@@ -73,24 +76,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _count(least: int):
+    """An argparse type for whole numbers from ``least`` (0 or 1) up."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                "must not be negative" if least == 0 else f"must be at least {least}"
+            )
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+Rows = list[tuple[str, object]]
 
 
 def _mfrac(f: Fraction) -> str:
@@ -98,8 +101,17 @@ def _mfrac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _hfrac(f: Fraction) -> str:
-    return str(f)
+def _emit(args: argparse.Namespace, table: str, rows: Rows, sep: str = "\n") -> None:
+    """Print ``rows`` as ``key=value`` under ``--format machine``, else ``table``.
+
+    An empty rendering prints nothing, not an empty line.
+    """
+    if args.format == "machine":
+        table = sep.join(
+            f"{key}={_mfrac(v) if isinstance(v, Fraction) else v}" for key, v in rows
+        )
+    if table:
+        print(table)
 
 
 def _load_document(path: str) -> PatternDocument:
@@ -136,26 +148,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     evolved = step_n(doc.to_pattern(), args.gens, population_factor=factor)
     text = emit_rle(PatternDocument.from_pattern(evolved, doc.name, doc.comments))
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        try:
+            Path(args.out).write_text(text, encoding="ascii")
+        except OSError as exc:
+            raise UsageError(f"{args.out}: {exc}")
     else:
         sys.stdout.write(text)
-    if args.format == "machine":
-        print(f"generation={evolved.generation}")
-        print(f"population={population(evolved)}")
-        if evolved.cells:
-            print("box=%d,%d,%d,%d" % bounding_box(evolved))
-        else:
-            print("box=empty")
-    else:
-        if evolved.cells:
-            x0, y0, x1, y1 = bounding_box(evolved)
-            box = f"({x0},{y0})..({x1},{y1})"
-        else:
-            box = "empty"
-        print(
-            f"generation {evolved.generation}, "
-            f"population {population(evolved)}, box {box}"
-        )
+    box = table_box = "empty"
+    if evolved.cells:
+        x0, y0, x1, y1 = bounding_box(evolved)
+        box, table_box = f"{x0},{y0},{x1},{y1}", f"({x0},{y0})..({x1},{y1})"
+    cells = population(evolved)
+    _emit(
+        args,
+        f"generation {evolved.generation}, population {cells}, box {table_box}",
+        [("generation", evolved.generation), ("population", cells), ("box", box)],
+    )
     return 0
 
 
@@ -164,27 +172,25 @@ def cmd_detect(args: argparse.Namespace) -> int:
     doc = _load_document(args.pattern)
     report = detect_ship(doc.to_pattern(), args.max_period, population_factor=factor)
     if report is None:
-        if args.format == "machine":
-            print("periodic=no")
-        else:
-            print(f"not periodic within {args.max_period} generations")
+        table = f"not periodic within {args.max_period} generations"
+        _emit(args, table, [("periodic", "no")])
         return 0
-    vx, vy = report.velocity
-    if args.format == "machine":
-        print("periodic=yes")
-        print(f"kind={report.kind}")
-        print(f"period={report.period}")
-        print(f"dx={report.displacement[0]}")
-        print(f"dy={report.displacement[1]}")
-        print(f"vx={_mfrac(vx)}")
-        print(f"vy={_mfrac(vy)}")
-        print(f"speed={_mfrac(report.speed)}")
-    else:
-        print(
-            f"{report.kind} P={report.period} "
-            f"d=({report.displacement[0]},{report.displacement[1]}) "
-            f"v=({_hfrac(vx)},{_hfrac(vy)}) speed={_hfrac(report.speed)}"
-        )
+    (vx, vy), (dx, dy) = report.velocity, report.displacement
+    _emit(
+        args,
+        f"{report.kind} P={report.period} d=({dx},{dy}) v=({vx},{vy}) "
+        f"speed={report.speed}",
+        [
+            ("periodic", "yes"),
+            ("kind", report.kind),
+            ("period", report.period),
+            ("dx", dx),
+            ("dy", dy),
+            ("vx", vx),
+            ("vy", vy),
+            ("speed", report.speed),
+        ],
+    )
     return 0
 
 
@@ -198,61 +204,36 @@ def _three_law_rows(v1: Fraction, v2x: Fraction) -> list[tuple[str, Fraction]]:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     v1, v2x, v2y = args.v1, args.v2x, args.v2y
+    tan_chi: Fraction | str | None = None
     if args.law == "life":
         if v2y == 0 and 0 <= v2x <= 1:
             v12 = Velocity2(compose_parallel(v1, v2x), Fraction(0))
-            tan_chi: Fraction | None = Fraction(0) if v12.vx else None
+            tan_chi = Fraction(0)
         else:
             result = compose_oblique(v1, Velocity2(v2x, v2y))
             v12 = result.v12
-            tan_chi = result.tan_chi
+            tan_chi = "vertical" if result.tan_chi is None else result.tan_chi
+        vx, vy = v12.vx, v12.vy
     elif args.law == "lorentz":
         if v2y != 0:
-            raise UsageError(
-                "the lorentz law here is one-dimensional; give --v2y 0"
-            )
-        v12 = None
-        scalar = lorentz(v1, v2x)
+            raise UsageError("the lorentz law here is one-dimensional; give --v2y 0")
+        vx, vy = lorentz(v1, v2x), Fraction(0)
     else:
-        v12 = None
-        scalar = galilean(v1, v2x)
+        vx, vy = galilean(v1, v2x), v2y
 
-    lines: list[str] = []
-    if args.format == "machine":
-        lines.append(f"law={args.law}")
-        if args.law == "life":
-            lines.append(f"v12x={_mfrac(v12.vx)}")
-            lines.append(f"v12y={_mfrac(v12.vy)}")
-            if v12.vx or v12.vy:
-                lines.append(
-                    "tan_chi=" + ("vertical" if tan_chi is None else _mfrac(tan_chi))
-                )
-                lines.append("chi_degrees=%.6f" % direction_degrees(v12))
-        else:
-            vy = v2y if args.law == "galilean" else Fraction(0)
-            lines.append(f"v12x={_mfrac(scalar)}")
-            lines.append(f"v12y={_mfrac(vy)}")
-        for name, value in _three_law_rows(v1, v2x):
-            lines.append(f"{name}_x={_mfrac(value)}")
-    else:
-        lines.append(f"law {args.law}")
-        if args.law == "life":
-            lines.append(f"v12 = ({_hfrac(v12.vx)}, {_hfrac(v12.vy)})")
-            if v12.vx or v12.vy:
-                tan_text = "vertical" if tan_chi is None else _hfrac(tan_chi)
-                lines.append(f"tan chi = {tan_text}")
-                lines.append(
-                    "chi = %.1f deg (display only)" % direction_degrees(v12)
-                )
-        else:
-            vy = v2y if args.law == "galilean" else Fraction(0)
-            lines.append(f"v12 = ({_hfrac(scalar)}, {_hfrac(vy)})")
-        lines.append("law        v12x")
-        for name, value in _three_law_rows(v1, v2x):
-            lines.append(f"{name:<10} {_hfrac(value)}")
-        if v2y != 0:
-            lines.append("(comparison rows compose the x components only)")
-    print("\n".join(lines))
+    rows: Rows = [("law", args.law), ("v12x", vx), ("v12y", vy)]
+    table = [f"law {args.law}", f"v12 = ({vx}, {vy})"]
+    if tan_chi is not None and (vx or vy):
+        degrees = direction_degrees(v12)
+        rows += [("tan_chi", tan_chi), ("chi_degrees", "%.6f" % degrees)]
+        table += [f"tan chi = {tan_chi}", "chi = %.1f deg (display only)" % degrees]
+    table.append("law        v12x")
+    for name, value in _three_law_rows(v1, v2x):
+        rows.append((f"{name}_x", value))
+        table.append(f"{name:<10} {value}")
+    if v2y != 0:
+        table.append("(comparison rows compose the x components only)")
+    _emit(args, "\n".join(table), rows)
     return 0
 
 
@@ -266,32 +247,27 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     for e in CATALOG:
         cells = population(catalog_pattern(e.name))
-        if args.format == "machine":
-            line = f"name={e.name} population={cells}"
-            if e.expected:
-                period, (dx, dy) = e.expected
-                line += f" period={period} dx={dx} dy={dy}"
-            else:
-                line += " period=none"
-            print(line)
+        rows: Rows = [("name", e.name), ("population", cells)]
+        summary = "no fixed recurrence (emits ships)"
+        if e.expected:
+            period, (dx, dy) = e.expected
+            rows += [("period", period), ("dx", dx), ("dy", dy)]
+            summary = f"P={period} d=({dx},{dy})"
         else:
-            if e.expected:
-                period, (dx, dy) = e.expected
-                summary = f"P={period} d=({dx},{dy})"
-            else:
-                summary = "no fixed recurrence (emits ships)"
-            print(f"{e.name:<12} {cells:>3} cells  {summary}")
+            rows.append(("period", "none"))
+        _emit(args, f"{e.name:<12} {cells:>3} cells  {summary}", rows, sep=" ")
     return 0
 
 
 Check = tuple[bool, str]
+Suite = tuple[list[Check], list[str]]
 
 
 def _check(ok: bool, label: str, detail: str) -> Check:
     return ok, f"{label}: {detail}"
 
 
-def _suite_catalog() -> list[Check]:
+def _suite_catalog() -> Suite:
     out = []
     for e in CATALOG:
         if e.expected is None:
@@ -309,10 +285,10 @@ def _suite_catalog() -> list[Check]:
             else f"P={report.period} d={report.displacement}"
         )
         out.append(_check(ok, f"catalog {e.name}", f"measured {measured}"))
-    return out
+    return out, []
 
 
-def _suite_parallel() -> list[Check]:
+def _suite_parallel() -> Suite:
     half, two_fifths = Fraction(1, 2), Fraction(2, 5)
     cs = [
         (compose_parallel(half, half), Fraction(3, 4), "compose(1/2,1/2)"),
@@ -321,12 +297,11 @@ def _suite_parallel() -> list[Check]:
         (lorentz(two_fifths, half), Fraction(3, 4), "lorentz(2/5,1/2)"),
     ]
     return [
-        _check(got == want, f"parallel {label}", f"= {_hfrac(got)}")
-        for got, want, label in cs
-    ]
+        _check(got == want, f"parallel {label}", f"= {got}") for got, want, label in cs
+    ], []
 
 
-def _suite_oblique() -> tuple[list[Check], list[str]]:
+def _suite_oblique() -> Suite:
     quarter = Fraction(1, 4)
     result = compose_oblique(quarter, Velocity2(0, Fraction(1, 3)))
     v12 = result.v12
@@ -334,12 +309,12 @@ def _suite_oblique() -> tuple[list[Check], list[str]]:
         _check(
             (abs(v12.vx), abs(v12.vy)) == (quarter, quarter),
             "oblique sample magnitudes",
-            f"|v12| = ({_hfrac(abs(v12.vx))}, {_hfrac(abs(v12.vy))})",
+            f"|v12| = ({abs(v12.vx)}, {abs(v12.vy)})",
         ),
         _check(
             result.tan_chi == 1,
             "oblique sample direction",
-            f"tan chi = {_hfrac(result.tan_chi)}",
+            f"tan chi = {result.tan_chi}",
         ),
     ]
     reduced = compose_oblique(Fraction(2, 5), Velocity2(Fraction(1, 2), 0))
@@ -347,7 +322,7 @@ def _suite_oblique() -> tuple[list[Check], list[str]]:
         _check(
             reduced.v12 == Velocity2(Fraction(7, 10), 0),
             "oblique reduction",
-            f"v2y=0 gives v12 = ({_hfrac(reduced.v12.vx)}, 0)",
+            f"v2y=0 gives v12 = ({reduced.v12.vx}, 0)",
         )
     )
     bullet = Velocity2(Fraction(1, 3), Fraction(-1, 4))
@@ -361,7 +336,7 @@ def _suite_oblique() -> tuple[list[Check], list[str]]:
         _check(
             rider == Velocity2(Fraction(-1, 2), Fraction(1, 2)),
             "oblique co-moving sample",
-            f"frame 1/2 sees ({_hfrac(rider.vx)}, {_hfrac(rider.vy)})",
+            f"frame 1/2 sees ({rider.vx}, {rider.vy})",
         )
     )
     findings = [
@@ -374,7 +349,7 @@ def _suite_oblique() -> tuple[list[Check], list[str]]:
     return checks, findings
 
 
-def _suite_oracle() -> list[Check]:
+def _suite_oracle() -> Suite:
     report = exhaustive_check(48)
     return [
         _check(
@@ -383,34 +358,29 @@ def _suite_oracle() -> list[Check]:
             f"{len(report.counterexamples)} counterexamples over "
             f"{report.cases} schedules with P <= 48",
         )
-    ]
+    ], []
 
 
-def _suite_deviation() -> tuple[list[Check], list[str]]:
+def _suite_deviation() -> Suite:
     report = max_deviation_scan(Fraction(1, 1000))
     twentieth = Fraction(1, 20)
     checks = [
         _check(
             report.delta >= twentieth,
             "deviation scan consistency",
-            f"max {_hfrac(report.delta)} >= 1/20, the value at (1/2,1/2)",
+            f"max {report.delta} >= 1/20, the value at (1/2,1/2)",
         )
     ]
     verdict = "exceeds" if report.delta > twentieth else "stays within"
     findings = [
         "FINDING deviation: max = %s (approx %.6f) at v1=%s, v2=%s"
-        % (
-            _hfrac(report.delta),
-            float(report.delta),
-            _hfrac(report.v1),
-            _hfrac(report.v2),
-        ),
+        % (report.delta, float(report.delta), report.v1, report.v2),
         f"FINDING deviation: the measured maximum {verdict} 0.05",
     ]
     return checks, findings
 
 
-def _suite_emissions() -> list[Check]:
+def _suite_emissions() -> Suite:
     catalog = [report for _, report in named_ship_catalog()]
     events = detect_emissions(catalog_pattern("gosper_gun"), 300, catalog)
     checks = [
@@ -453,28 +423,26 @@ def _suite_emissions() -> list[Check]:
             f"birth generations step by {sorted(strides)}",
         )
     )
-    return checks
+    return checks, []
+
+
+# ``--suite NAME`` runs the catalog suite and NAME; ``all`` runs every one.
+_SUITES = {
+    "parallel": _suite_parallel,
+    "oblique": _suite_oblique,
+    "oracle": _suite_oracle,
+    "deviation": _suite_deviation,
+    "emissions": _suite_emissions,
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    wanted = args.suite
-    checks: list[Check] = _suite_catalog()
-    findings: list[str] = []
-    if wanted in ("parallel", "all"):
-        checks += _suite_parallel()
-    if wanted in ("oblique", "all"):
-        more, notes = _suite_oblique()
-        checks += more
-        findings += notes
-    if wanted in ("oracle", "all"):
-        checks += _suite_oracle()
-    if wanted in ("deviation", "all"):
-        more, notes = _suite_deviation()
-        checks += more
-        findings += notes
-    if wanted in ("emissions", "all"):
-        checks += _suite_emissions()
-
+    checks, findings = _suite_catalog()
+    for name, suite in _SUITES.items():
+        if args.suite in (name, "all"):
+            more, notes = suite()
+            checks += more
+            findings += notes
     failed = 0
     for ok, text in checks:
         print(("PASS " if ok else "FAIL ") + text)
@@ -489,69 +457,53 @@ def cmd_emissions(args: argparse.Namespace) -> int:
     doc = _load_document(args.pattern)
     names = {report: name for name, report in named_ship_catalog()}
     events = detect_emissions(doc.to_pattern(), args.horizon, list(names.keys()))
-    machine = args.format == "machine"
+    _emit(args, "", [("events", len(events))])
     failures = 0
-    if machine:
-        print(f"events={len(events)}")
     for index, event in enumerate(events, start=1):
-        failures += _print_event(index, event, names, args.v1, machine)
-    if not machine:
-        print(f"{len(events)} emission event(s) within {args.horizon} generations")
+        line, rows, ok = _event(index, event, names, args.v1)
+        _emit(args, line, rows)
+        failures += not ok
+    summary = f"{len(events)} emission event(s) within {args.horizon} generations"
+    _emit(args, summary, [])
     return 1 if failures else 0
 
 
-def _print_event(
+def _event(
     index: int,
     event: EmissionEvent,
     names: dict[ShipReport, str],
     v1: Fraction | None,
-    machine: bool,
-) -> int:
+) -> tuple[str, Rows, bool]:
+    """One event's table line and rows, and whether its co-moving check held."""
     name = names.get(event.ship, "ship")
     vx, vy = event.ground_velocity
     x, y = event.first_sighting
-    failed = 0
-    comoving: Velocity2 | None = None
-    note = ""
-    if v1 is not None:
-        try:
-            comoving = invert_oblique(v1, Velocity2(vx, vy))
-        except ValueError as exc:
-            note = str(exc)
-            failed = 1
-        else:
-            recomposed = compose_oblique(v1, comoving).v12
-            if recomposed != Velocity2(vx, vy):
-                note = "recomposition does not restore the measurement"
-                failed = 1
-    if machine:
-        print(f"event={index}")
-        print(f"ship={name}")
-        print(f"birth={event.birth_generation}")
-        print(f"x={x}")
-        print(f"y={y}")
-        print(f"vx={_mfrac(vx)}")
-        print(f"vy={_mfrac(vy)}")
-        if comoving is not None:
-            print(f"v2x={_mfrac(comoving.vx)}")
-            print(f"v2y={_mfrac(comoving.vy)}")
-            print("consistent=yes")
-        elif v1 is not None:
-            print("consistent=no")
+    line = (
+        f"event {index}: {name} born generation {event.birth_generation} "
+        f"at ({x},{y}), v = ({vx}, {vy})"
+    )
+    rows: Rows = [
+        ("event", index),
+        ("ship", name),
+        ("birth", event.birth_generation),
+        ("x", x),
+        ("y", y),
+        ("vx", vx),
+        ("vy", vy),
+    ]
+    if v1 is None:
+        return line, rows, True
+    try:
+        comoving = invert_oblique(v1, Velocity2(vx, vy))
+    except ValueError as exc:
+        note = str(exc)
     else:
-        line = (
-            f"event {index}: {name} born generation {event.birth_generation} "
-            f"at ({x},{y}), v = ({_hfrac(vx)}, {_hfrac(vy)})"
-        )
-        if comoving is not None:
-            line += (
-                f"; co-moving bullet ({_hfrac(comoving.vx)}, "
-                f"{_hfrac(comoving.vy)}) recomposes exactly"
-            )
-        elif v1 is not None:
-            line += f"; inversion failed: {note}"
-        print(line)
-    return failed
+        if compose_oblique(v1, comoving).v12 == Velocity2(vx, vy):
+            rows += [("v2x", comoving.vx), ("v2y", comoving.vy), ("consistent", "yes")]
+            bullet = f"co-moving bullet ({comoving.vx}, {comoving.vy})"
+            return f"{line}; {bullet} recomposes exactly", rows, True
+        note = "recomposition does not restore the measurement"
+    return f"{line}; inversion failed: {note}", rows + [("consistent", "no")], False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -572,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[shared], help="evolve a pattern file")
     p_run.add_argument("pattern", help="RLE or plaintext pattern file")
-    p_run.add_argument("--gens", type=_nonnegative_int, default=1)
+    p_run.add_argument("--gens", type=_count(0), default=1)
     p_run.add_argument("--out", help="write the evolved RLE here instead of stdout")
     p_run.add_argument("--explosion-factor")
     p_run.set_defaults(handler=cmd_run)
@@ -581,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "detect", parents=[shared], help="measure period, displacement, velocity"
     )
     p_detect.add_argument("pattern")
-    p_detect.add_argument("--max-period", type=_positive_int, default=64)
+    p_detect.add_argument("--max-period", type=_count(1), default=64)
     p_detect.add_argument("--explosion-factor")
     p_detect.set_defaults(handler=cmd_detect)
 
@@ -601,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--suite",
-        choices=("parallel", "oblique", "oracle", "deviation", "emissions", "all"),
+        choices=(*_SUITES, "all"),
         default="all",
     )
     p_verify.set_defaults(handler=cmd_verify)
@@ -617,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "emissions", parents=[shared], help="census of ships escaping a pattern"
     )
     p_em.add_argument("pattern")
-    p_em.add_argument("--horizon", type=_positive_int, default=300)
+    p_em.add_argument("--horizon", type=_count(1), default=300)
     p_em.add_argument(
         "--v1",
         type=_fraction,

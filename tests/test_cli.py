@@ -2,10 +2,11 @@ import shutil
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from lifeframes import detector
+from lifeframes import cli, detector
 from lifeframes.catalog import entry, gun_battery
 from lifeframes.cli import EXPLOSION_FACTOR_ENV, main
 from lifeframes.engine import bounding_box, step_n
@@ -92,6 +93,20 @@ class TestRun:
         assert code == 0
         assert "population=0" in out
         assert "box=empty" in out
+
+    @pytest.mark.parametrize("target", ["", "no/such/dir/x.rle"])
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    def test_unwritable_out_is_a_usage_error(
+        self, capsys, glider_file, tmp_path, target, fmt
+    ):
+        out_path = str(tmp_path / target)
+        code, out, err = run_cli(
+            capsys, "run", glider_file, "--out", out_path, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {out_path}: ")
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "run", "/no/such/file.rle")
@@ -370,6 +385,57 @@ class TestEmissions:
 
         monkeypatch.setattr(detector, "_census_state", never_equal)
         assert run_cli(capsys, *argv) == jumped
+
+    def test_a_failed_recomposition_is_not_consistent(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "gun.rle"
+        path.write_text(entry("gosper_gun").rle)
+        argv = ["emissions", str(path), "--horizon", "120", "--v1", "1/2"]
+        stalled = SimpleNamespace(v12=cli.Velocity2(0, 0))
+        monkeypatch.setattr(cli, "compose_oblique", lambda v1, bullet: stalled)
+        code, out, err = run_cli(capsys, *argv, "--format", "machine")
+        assert (code, err) == (1, "")
+        assert "consistent=no" in out
+        assert "consistent=yes" not in out
+        assert "v2x=" not in out and "v2y=" not in out
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        note = "; inversion failed: recomposition does not restore the measurement"
+        events = out.splitlines()[:-1]
+        assert events and all(line.endswith(note) for line in events)
+        assert "recomposes exactly" not in out
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "GLIDER", "--gens", "-1"], "must not be negative"),
+            (["run", "GLIDER", "--gens", "1.5"], "'1.5' is not an integer"),
+            (["emissions", "GLIDER", "--horizon", "x"], "'x' is not an integer"),
+            (["detect", "GLIDER", "--max-period", "0"], "must be at least 1"),
+            (["emissions", "GLIDER", "--horizon", "0"], "must be at least 1"),
+        ],
+    )
+    def test_rejections(self, capsys, glider_file, argv, message):
+        argv = [glider_file if a == "GLIDER" else a for a in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("lifeframes ")
+        assert last.endswith(f"error: argument {argv[2]}: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "GLIDER", "--gens", "0"], ["detect", "GLIDER", "--max-period", "1"]],
+    )
+    def test_the_least_value_is_accepted(self, capsys, glider_file, argv):
+        argv = [glider_file if a == "GLIDER" else a for a in argv]
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 class TestExplosionFactor:
