@@ -113,10 +113,15 @@ def compose_parallel(v1: Rationalish, v2: Rationalish) -> Fraction:
     v1 + v2 - v1*v2, exactly, normalised once.  Fixes 1 (light is
     light in every frame) and never leaves [0, 1] for inputs in [0, 1].
     """
-    a = _unit_interval(v1, "v1")
-    b = _unit_interval(v2, "v2")
+    # _unit_interval's checks, inlined so each part is read only once
+    a = v1 if type(v1) is Fraction else _exact(v1, "v1")
     an, ad = a.numerator, a.denominator
+    if not 0 <= an <= ad:
+        raise ValueError(f"v1 must lie in [0, 1], got {a}")
+    b = v2 if type(v2) is Fraction else _exact(v2, "v2")
     bn, bd = b.numerator, b.denominator
+    if not 0 <= bn <= bd:
+        raise ValueError(f"v2 must lie in [0, 1], got {b}")
     return Fraction(an * bd + bn * ad - an * bn, ad * bd)
 
 

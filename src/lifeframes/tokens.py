@@ -71,6 +71,18 @@ class CarrierBulletRun:
     carrier_jumps: frozenset[int]
     bullet_jumps: frozenset[int]
 
+    def __init__(
+        self,
+        total_moves: int,
+        carrier_jumps: frozenset[int],
+        bullet_jumps: frozenset[int],
+    ) -> None:
+        # The generated frozen __init__ pays one object.__setattr__ per field.
+        fields = self.__dict__
+        fields["total_moves"] = total_moves
+        fields["carrier_jumps"] = carrier_jumps
+        fields["bullet_jumps"] = bullet_jumps
+
     @property
     def displacement(self) -> int:
         """Ground displacement: carried jumps plus the bullet's own."""
@@ -125,6 +137,9 @@ def run_carrier_bullet(
             f"bullet cannot jump {bullet_jump_count} times in "
             f"{rest_count} carrier rest moves"
         )
+    if carrier_jumps is None and bullet_jumps is None:
+        n1, n2 = carrier_jump_count, bullet_jump_count
+        return CarrierBulletRun(p, frozenset(range(n1)), frozenset(range(n1, n1 + n2)))
     carrier = _pick(range(p), carrier_jump_count, carrier_jumps)
     if carrier_jumps is None:
         rests: Sequence[int] = range(carrier_jump_count, p)
@@ -168,23 +183,34 @@ class OracleReport:
 def exhaustive_check(max_total_moves: int) -> OracleReport:
     """Compare every feasible (P, n1, n2) schedule against the formula.
 
-    The token run gives v12 = (n1+n2)/P; the formula gives
-    compose_parallel(n1/P, n2/(P-n1)).  When n1 = P the carrier never
-    rests and only n2 = 0 is feasible; its undefined 0/0 bullet
-    velocity is taken as 0, matching the absorbing light case.
+    Each case runs its schedule, run_carrier_bullet(P, n1, n2), and the
+    formula, compose_parallel(n1/P, n2/(P-n1)), once each.  When n1 = P
+    the carrier never rests and only n2 = 0 is feasible; its undefined
+    0/0 bullet velocity is taken as 0, matching the absorbing light case.
+    The inputs come from one table of unit fractions per call, unit[d][n]
+    = n/d with unit[0] = [0].  The run's v12 = displacement/P is compared
+    with the formula's L as displacement * L.denominator != L.numerator * P,
+    which is exact because P > 0 and L.denominator > 0; a law returning a
+    plain int works too.
     """
+    if isinstance(max_total_moves, bool) or not isinstance(max_total_moves, int):
+        kind = type(max_total_moves).__name__
+        raise TypeError(f"max_total_moves must be an int, not {kind}")
     if max_total_moves < 1:
         raise ScheduleError("need at least one move")
+    unit = [[Fraction(0)]] + [
+        [Fraction(n, d) for n in range(d + 1)] for d in range(1, max_total_moves + 1)
+    ]
     cases = 0
     bad: list[tuple[int, int, int]] = []
     for p in range(1, max_total_moves + 1):
         for n1 in range(p + 1):
-            rest = p - n1
-            v1 = Fraction(n1, p)
-            for n2 in range(rest + 1):
-                v2 = Fraction(n2, rest) if rest else Fraction(0)
-                simulated = run_carrier_bullet(p, n1, n2).v12
-                if simulated != compose_parallel(v1, v2):
+            v1 = unit[p][n1]
+            by_n2 = unit[p - n1]
+            for n2 in range(p - n1 + 1):
+                moved = run_carrier_bullet(p, n1, n2).displacement
+                law = compose_parallel(v1, by_n2[n2])
+                if moved * law.denominator != law.numerator * p:
                     bad.append((p, n1, n2))
-                cases += 1
+            cases += p - n1 + 1
     return OracleReport(max_total_moves, cases, tuple(bad))

@@ -166,6 +166,30 @@ class TestGuards:
         with pytest.raises(ValueError):
             deviation(0, F(-1, 4))
 
+    @pytest.mark.parametrize(
+        "fn, args, error, message",
+        [
+            (compose_parallel, (F(3, 2), 0), ValueError, "v1 must lie in [0, 1], got 3/2"),
+            (compose_parallel, (0, -1), ValueError, "v2 must lie in [0, 1], got -1"),
+            (compose_parallel, (0.5, 0), TypeError, "v1 must be an exact rational, not a float"),
+            (compose_parallel, (0, 0.5), TypeError, "v2 must be an exact rational, not a float"),
+            # v1 is checked in full before v2 is looked at
+            (compose_parallel, (F(3, 2), 0.5), ValueError, "v1 must lie in [0, 1], got 3/2"),
+            (deviation, (F(3, 2), 0), ValueError, "v1 must lie in [0, 1], got 3/2"),
+            (deviation, (0, -1), ValueError, "v2 must lie in [0, 1], got -1"),
+            (deviation, (0.5, 0), TypeError, "v1 must be an exact rational, not a float"),
+            (deviation, (0, 0.5), TypeError, "v2 must be an exact rational, not a float"),
+            (polar_components, (F(3, 2), 0), ValueError, "v2 must lie in [0, 1], got 3/2"),
+            (polar_components, (-1, None), ValueError, "v2 must lie in [0, 1], got -1"),
+            (polar_components, (0.5, 0), TypeError, "v2 must be an exact rational, not a float"),
+        ],
+    )
+    def test_error_messages_are_pinned(self, fn, args, error, message):
+        with pytest.raises(error) as caught:
+            fn(*args)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_velocity_light_bound(self):
         with pytest.raises(ValueError, match="speed of light"):
             Velocity2(F(5, 4), 0)

@@ -1,12 +1,15 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle_reference import exhaustive_check_reference
 
 from lifeframes import tokens
-from lifeframes.kinematics import compose_parallel, galilean
+from lifeframes.kinematics import compose_parallel, galilean, lorentz
 from lifeframes.tokens import (
     CarrierBulletRun,
     ScheduleError,
@@ -93,6 +96,51 @@ class TestCarrierBullet:
                 4, 1, 1, carrier_jumps=frozenset({0}), bullet_jumps=frozenset({0})
             )
 
+    def test_repr_is_pinned(self):
+        assert repr(run_carrier_bullet(10, 4, 3)) == (
+            "CarrierBulletRun(total_moves=10, carrier_jumps=frozenset({0, 1, 2, 3}), "
+            "bullet_jumps=frozenset({4, 5, 6}))"
+        )
+
+    @given(st.integers(min_value=1, max_value=20), st.data())
+    def test_run_contract(self, total, data):
+        n1 = data.draw(st.integers(min_value=0, max_value=total))
+        n2 = data.draw(st.integers(min_value=0, max_value=total - n1))
+        run = run_carrier_bullet(total, n1, n2)
+        assert type(run) is CarrierBulletRun
+        assert run.total_moves == total
+        assert run.carrier_jumps == frozenset(range(n1))
+        assert run.bullet_jumps == frozenset(range(n1, n1 + n2))
+        assert type(run.carrier_jumps) is frozenset
+        assert type(run.bullet_jumps) is frozenset
+        for field in dataclasses.fields(run):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(run, field.name, getattr(run, field.name))
+        twins = (
+            run_carrier_bullet(total, n1, n2),
+            run_carrier_bullet(
+                total,
+                n1,
+                n2,
+                carrier_jumps=list(range(n1)),
+                bullet_jumps=range(n1, n1 + n2),
+            ),
+            CarrierBulletRun(
+                total_moves=total,
+                carrier_jumps=frozenset(range(n1)),
+                bullet_jumps=frozenset(range(n1, n1 + n2)),
+            ),
+            dataclasses.replace(run),
+        )
+        for twin in twins:
+            assert twin is not run
+            assert twin == run
+            assert hash(twin) == hash(run)
+            assert repr(twin) == repr(run)
+        assert len({run, *twins}) == 1
+        if n2:
+            assert run != run_carrier_bullet(total, n1, n2 - 1)
+
     def test_trace_is_cumulative_and_monotone(self):
         run = run_carrier_bullet(9, 3, 2)
         trace = run.trace
@@ -124,6 +172,11 @@ class TestPawnDuel:
         assert advance <= total
 
 
+def _wrong_at_a_third_and_a_half(a, b):
+    """The board law, off by 1/10^6 at v1 = 1/3, v2 = 1/2 only."""
+    return compose_parallel(a, b) + (F(1, 10**6) if (a, b) == (F(1, 3), F(1, 2)) else 0)
+
+
 class TestExhaustive:
     def test_counts_are_frozen(self):
         assert exhaustive_check(1).cases == 3
@@ -138,6 +191,69 @@ class TestExhaustive:
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             exhaustive_check(0)
+        with pytest.raises(ScheduleError, match="need at least one move"):
+            exhaustive_check(-1)
+
+    @pytest.mark.parametrize("bound", [True, False, 2.5, "3", F(3)])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(TypeError, match="max_total_moves must be an int"):
+            exhaustive_check(bound)
+
+    @pytest.mark.parametrize("bound", [*range(1, 31), 48])
+    def test_matches_the_reference_oracle(self, bound):
+        report = exhaustive_check(bound)
+        assert report == exhaustive_check_reference(bound)
+        assert report.consistent
+        if bound == 48:
+            assert report.cases == 20824
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            galilean,
+            lorentz,
+            _wrong_at_a_third_and_a_half,
+            lambda a, b: math.floor(compose_parallel(a, b)),
+        ],
+        ids=["galilean", "lorentz", "wrong_once", "int_valued"],
+    )
+    def test_a_patched_law_matches_the_reference(self, monkeypatch, law):
+        expected = exhaustive_check_reference(14, law)
+        monkeypatch.setattr(tokens, "compose_parallel", law)
+        assert exhaustive_check(14) == expected
+        assert expected.counterexamples
+
+    def test_wrong_on_one_pair_is_caught_on_every_schedule_of_it(self, monkeypatch):
+        monkeypatch.setattr(tokens, "compose_parallel", _wrong_at_a_third_and_a_half)
+        report = exhaustive_check(12)
+        assert report.counterexamples == tuple((3 * k, k, k) for k in range(1, 5))
+
+    def test_each_case_runs_the_schedule_and_the_law_once(self, monkeypatch):
+        runs, laws = [], []
+
+        def counted_run(*args):
+            runs.append(args)
+            return run_carrier_bullet(*args)
+
+        def counted_law(*args):
+            laws.append(args)
+            return compose_parallel(*args)
+
+        monkeypatch.setattr(tokens, "run_carrier_bullet", counted_run)
+        monkeypatch.setattr(tokens, "compose_parallel", counted_law)
+        report = exhaustive_check(12)
+        schedules = [
+            (p, n1, n2)
+            for p in range(1, 13)
+            for n1 in range(p + 1)
+            for n2 in range(p - n1 + 1)
+        ]
+        assert report.cases == len(schedules) == 454
+        assert runs == schedules
+        assert laws == [
+            (F(n1, p), F(n2, p - n1) if p > n1 else F(0)) for p, n1, n2 in schedules
+        ]
+        assert all(type(v) is F for pair in laws for v in pair)
 
     def test_a_wrong_law_is_caught(self, monkeypatch):
         # The Galilean sum agrees with the token runs only when one of
