@@ -5,14 +5,15 @@ rightward and y growing downward.  ``step`` is a plain sparse
 neighbor-count pass in Python.  ``step_n``, the ship detector and the
 emission census all step one packed ``Board``: sorted 64-bit keys that
 pack each cell's coordinates relative to the bounding-box corner,
-advanced in place by a vectorized numpy pass.  It serves any run whose
-extent plus twice its length fits a 31-bit field, wherever the board
-sits.  Only ``step_n`` falls back to the Python pass, for wider
-boards.  Both paths produce bit-identical cell sets and apply the same
-population guard.  A board that recurs, in place or moved, jumps
-exactly over the whole periods left of a run.  The board also splits
-itself into bodies for the census, looks them up by shape, and takes
-them off or puts them back, so the key format stays in this module.
+advanced in place by one sort of their neighbor keys per generation.
+It serves any run whose extent plus twice its length fits a 31-bit
+field, wherever the board sits.  Only ``step_n`` falls back to the
+Python pass, for wider boards.  Both paths produce bit-identical cell
+sets and apply the same population guard.  A board that recurs, in
+place or moved, jumps exactly over the whole periods left of a run.
+The board also splits itself into bodies for the census from the same
+sort, looks them up by shape, and takes them off or puts them back, so
+the key format stays in this module.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ _PACKED_OFFSETS_NP = np.array(_PACKED_OFFSETS, dtype=np.int64)
 # can still feed the same dead neighbor, so their clusters are one
 # causal body for the next step.
 MERGE_RADIUS = 2
-# The forward half of that neighborhood as packed-key offsets: each
-# merging pair is found once, from its smaller key.
-_FORWARD_MERGE_OFFSETS = np.array(
-    [
-        dx * _FIELD + dy
-        for dx in range(MERGE_RADIUS + 1)
-        for dy in range(-MERGE_RADIUS, MERGE_RADIUS + 1)
-        if dx > 0 or dy > 0
-    ],
-    dtype=np.int64,
-)
 
 
 class EmptyPatternError(ValueError):
@@ -213,40 +203,57 @@ def _unpack(keys: np.ndarray, origin: Cell) -> frozenset[Cell]:
     return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
-def _evolve_np(keys: np.ndarray) -> np.ndarray:
-    """One generation over sorted packed keys."""
-    neighbors = (keys[None, :] + _PACKED_OFFSETS_NP[:, None]).ravel()
-    uniq, counts = np.unique(neighbors, return_counts=True)
-    alive = np.isin(uniq, keys, assume_unique=True)
-    return uniq[(counts == 3) | ((counts == 2) & alive)]
+def _neighbor_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor keys of sorted keys, sorted, and the argsort (i is cell i % n).
+
+    Each neighbor offset adds a sorted run, so a stable sort merges them.
+    """
+    neighbors = np.add.outer(_PACKED_OFFSETS_NP, keys).ravel()
+    order = np.argsort(neighbors, kind="stable")
+    return neighbors[order], order
 
 
-def _component_labels(keys: np.ndarray) -> np.ndarray:
+def _evolve_np(keys: np.ndarray, neighbors: np.ndarray | None = None) -> np.ndarray:
+    """One generation over non-empty sorted keys, from their neighbor sort if given.
+
+    Each run of equal neighbor keys counts one cell's live neighbors.
+    """
+    if neighbors is None:
+        neighbors = np.add.outer(_PACKED_OFFSETS_NP, keys).ravel()
+        neighbors.sort(kind="stable")
+    last = np.flatnonzero(np.append(neighbors[1:] != neighbors[:-1], True))
+    counts = np.diff(last, prepend=-1)
+    cells = neighbors[last]
+    # A key's neighbor key + _FIELD + 1 sorts after it, so at < cells.size.
+    at = np.searchsorted(cells, keys)
+    live = at[cells[at] == keys]
+    keep = counts == 3
+    keep[live[counts[live] == 2]] = True
+    return cells[keep]
+
+
+def _component_labels(keys: np.ndarray, sort: tuple | None = None) -> np.ndarray:
     """Label each sorted key with the first index of its body.
 
-    Cells within Chebyshev distance 2 are joined: one searchsorted
-    finds every pair at a forward merge offset, then every root is
-    hooked to the smallest root it touches and pointer jumping
-    flattens the trees, until no joined pair carries two labels.
+    Distinct cells share a neighbor cell exactly when their Chebyshev
+    distance is 1 or 2, the merge radius, so each run of
+    ``_neighbor_sort(keys)`` (sort, if given) joins its cells.  Roots are
+    hooked to smaller joined roots and pointer jumping flattens the trees
+    until no joined pair differs; a body's smallest index is never hooked.
     """
-    n = keys.size
-    targets = (keys[None, :] + _FORWARD_MERGE_OFFSETS[:, None]).ravel()
-    found = np.minimum(np.searchsorted(keys, targets), n - 1)
-    hit = np.flatnonzero(keys[found] == targets)
-    src, dst = hit % n, found[hit]
-    labels = np.arange(n)
-    while True:
+    neighbors, order = _neighbor_sort(keys) if sort is None else sort
+    labels = np.arange(keys.size)
+    source = np.tile(labels, 8)[order]
+    joined = np.flatnonzero(neighbors[1:] == neighbors[:-1])
+    a, b = src, dst = source[joined], source[joined + 1]
+    while a.size:
+        labels[np.maximum(a, b)] = np.minimum(a, b)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
         a, b = labels[src], labels[dst]
         differ = a != b
-        if not differ.any():
-            return labels
         src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+    return labels
 
 
 def _shift(old: np.ndarray, new: np.ndarray) -> int | None:
@@ -286,11 +293,11 @@ class Board:
     """A board held as sorted packed keys and stepped in place.
 
     Packed once for a run of generations steps plus margin cells of
-    slack a side: a run that could leave the 64-bit range, or whose
-    extent plus 2 x (generations + margin) exceeds 2**31, raises
-    CoordinateOverflowError.  With a population_factor (finite and
-    above 0, else ValueError), each step raises ExplosiveGrowthError
-    above that factor x the start count.
+    slack a side (both at least 0, else ValueError): a run that could
+    leave the 64-bit range, or whose extent plus 2 x (generations +
+    margin) exceeds 2**31, raises CoordinateOverflowError.  With a
+    population_factor (finite and above 0, else ValueError), each step
+    raises ExplosiveGrowthError above that factor x the start count.
     """
 
     def __init__(
@@ -300,6 +307,8 @@ class Board:
         margin: int = 0,
         population_factor: float | None = None,
     ):
+        if generations < 0 or margin < 0:
+            raise ValueError("generations and margin must be non-negative")
         _check_factor(population_factor)
         _check_headroom(p, generations)
         origin = _packed_origin(p, generations + margin)
@@ -310,6 +319,7 @@ class Board:
             )
         self._origin = origin
         self._keys = _pack(p.cells, origin)
+        self._sorted = None, None, None  # keys that bodies() split, their sort
         self._margin = margin
         self.generation = p.generation
         self._start = (p.generation, len(p.cells))
@@ -328,12 +338,14 @@ class Board:
         cycle's populations have all passed the growth check.
         """
         end = self.generation + generations
-        if end > self._end:
-            raise ValueError("stepping past the run the board was packed for")
+        if not self.generation <= end <= self._end:
+            raise ValueError("stepping back or past the run the board was packed for")
         first, count = self._start
         saved, saved_at, power = self._keys, self.generation, 1
+        # Take, put and the jump replace the keys, so a stale sort is unused.
+        neighbors = self._sorted[1] if self._sorted[0] is self._keys else None
         while self.generation < end and self._keys.size:
-            self._keys = _evolve_np(self._keys)
+            self._keys, neighbors = _evolve_np(self._keys, neighbors), None
             self.generation += 1
             _check_growth(count, self._factor, self._keys.size, self.generation - first)
             if self.generation < end and self._keys.size == saved.size:
@@ -417,7 +429,8 @@ class Board:
         keys = self._keys
         if keys.size == 0:
             return matched, None
-        labels = _component_labels(keys)
+        self._sorted = keys, *_neighbor_sort(keys)
+        labels = _component_labels(keys, self._sorted[1:])
         order = np.argsort(labels, kind="stable")
         grouped = keys[order]
         sorted_labels = labels[order]

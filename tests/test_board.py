@@ -27,6 +27,7 @@ from lifeframes.engine import (
     ExplosiveGrowthError,
     Pattern,
     _evolve_py,
+    bounding_box,
     step_n,
 )
 
@@ -180,6 +181,24 @@ class TestPlannedRun:
         with pytest.raises(ValueError, match="packed for"):
             board.step(2)
 
+    @pytest.mark.parametrize("generations, margin", [(-5, 0), (-1, 2), (4, -1)])
+    def test_board_refuses_a_negative_run_or_margin(
+        self, monkeypatch, generations, margin
+    ):
+        # Packing first would put the origin past the cells.
+        _forbid(monkeypatch, "_pack")
+        with pytest.raises(ValueError, match="non-negative"):
+            Board(catalog_pattern("glider"), generations, margin)
+
+    def test_board_refuses_a_negative_step(self):
+        glider = catalog_pattern("glider")
+        board = Board(glider, 10)
+        with pytest.raises(ValueError, match="back"):
+            board.step(-3)
+        assert board.pattern() == glider
+        board.step(10)
+        assert board.pattern() == _stepped(glider, 10)
+
     def test_detect_ship_refuses_a_period_bound_too_wide_for_the_fields(
         self, monkeypatch
     ):
@@ -302,3 +321,41 @@ class TestRecurrenceJump:
         assert detect_ship(_stepped(gun_battery(1), 59), max_period=40).period == 30
         events = detect_emissions(catalog_pattern("gosper_gun"), 120, ship_catalog())
         assert len(events) == 3
+
+
+class TestSortReuse:
+    """step reuses the neighbor sort of ``bodies`` only for the keys it sorted.
+
+    Taking a ship off after the split, or putting one back, must make
+    the next step sort again; a run long enough to jump follows.
+    """
+
+    @given(
+        scenes(),
+        st.sampled_from(["nothing", "take", "put"]),
+        st.integers(1, 8),
+        st.integers(-6, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_steps_after_bodies_match_the_python_pass(self, scene, action, k, dy):
+        glider = catalog_pattern("glider")
+        shape, _ = Board(glider, 0).shape()
+        _, y0, x1, _ = bounding_box(scene)
+        # Three columns clear of the scene, the glider is a body of its own.
+        corner = (x1 + 3, y0 + dy)
+        ship = {(corner[0] + x, corner[1] + y) for x, y in glider.cells}
+        cells = scene.cells | ship
+        board = Board(Pattern(cells), 64, margin=2)
+        if action == "put":
+            board.take(shape, corner)
+        matched, _ = board.bodies({5: {shape: "glider"}})
+        assert ((shape, corner) in matched) == (action != "put")
+        if action == "take":
+            board.take(shape, corner)
+            cells = scene.cells
+        elif action == "put":
+            board.put(shape, corner)
+        board.step(k)
+        assert board.pattern() == _stepped(Pattern(cells), k)
+        board.step(64 - k)
+        assert board.pattern() == _stepped(Pattern(cells), 64)

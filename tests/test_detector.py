@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cluster_reference import clusters
-from lifeframes.catalog import catalog_pattern, ship_catalog
+from test_engine import crowded_cells
+from lifeframes.catalog import catalog_pattern, gun_battery, ship_catalog
 from lifeframes.detector import (
     EmissionEvent,
     ExplosiveGrowthError,
@@ -114,9 +115,18 @@ MERGE_EDGE_OFFSETS = [
 
 @st.composite
 def merge_edge_cells(draw):
-    """Random cells around the origin plus pairs at distance 2 or 3."""
+    """Random cells around the origin plus pairs at distance 2 or 3.
+
+    The loose cells are sparse, or up to 144 cells crowded into a 12 x 12
+    square, where one neighbor cell is shared by 3 to 8 live cells.
+    """
     coord = st.integers(-20, 20)
-    loose = draw(st.frozensets(st.tuples(coord, coord), min_size=1, max_size=40))
+    loose = draw(
+        st.one_of(
+            st.frozensets(st.tuples(coord, coord), min_size=1, max_size=40),
+            crowded_cells(12).filter(bool),
+        )
+    )
     pairs = draw(
         st.lists(st.tuples(coord, coord, st.sampled_from(MERGE_EDGE_OFFSETS)), max_size=12)
     )
@@ -129,7 +139,9 @@ def merge_edge_cells(draw):
 
 class TestComponentLabels:
     @given(merge_edge_cells())
-    @settings(max_examples=200)
+    @example(step_n(gun_battery(23), 60).cells)
+    @example(step_n(catalog_pattern("gosper_gun"), 2000).cells)
+    @settings(max_examples=200, deadline=None)
     def test_partition_matches_the_reference(self, cells):
         origin = _packed_origin(Pattern(cells), 2)
         keys = _pack(cells, origin)
