@@ -19,6 +19,7 @@ the key format stays in this module.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -267,6 +268,13 @@ def _shift(old: np.ndarray, new: np.ndarray) -> int | None:
     return b - a if np.array_equal(old - a, new - b) else None
 
 
+def _checked_count(n: int, name: str) -> int:
+    """n as a plain int (numpy integers too); TypeError for a bool or a non-integer."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
+    return operator.index(n)
+
+
 def _check_factor(factor: float | None) -> None:
     """Refuse a population factor that is nan, infinite or not above 0."""
     # Every comparison with nan is false, so nan is refused here too.
@@ -293,11 +301,12 @@ class Board:
     """A board held as sorted packed keys and stepped in place.
 
     Packed once for a run of generations steps plus margin cells of
-    slack a side (both at least 0, else ValueError): a run that could
-    leave the 64-bit range, or whose extent plus 2 x (generations +
-    margin) exceeds 2**31, raises CoordinateOverflowError.  With a
-    population_factor (finite and above 0, else ValueError), each step
-    raises ExplosiveGrowthError above that factor x the start count.
+    slack a side (ints at least 0, else TypeError or ValueError, as is
+    each step's count): a run that could leave the 64-bit range, or
+    whose extent plus 2 x (generations + margin) exceeds 2**31, raises
+    CoordinateOverflowError.  With a population_factor (finite and above
+    0, else ValueError), each step raises ExplosiveGrowthError above
+    that factor x the start count.
     """
 
     def __init__(
@@ -307,6 +316,8 @@ class Board:
         margin: int = 0,
         population_factor: float | None = None,
     ):
+        generations = _checked_count(generations, "generations")
+        margin = _checked_count(margin, "margin")
         if generations < 0 or margin < 0:
             raise ValueError("generations and margin must be non-negative")
         _check_factor(population_factor)
@@ -337,7 +348,7 @@ class Board:
         whole periods left (Brent's cycle search, one saved board); the
         cycle's populations have all passed the growth check.
         """
-        end = self.generation + generations
+        end = self.generation + _checked_count(generations, "generations")
         if not self.generation <= end <= self._end:
             raise ValueError("stepping back or past the run the board was packed for")
         first, count = self._start
@@ -481,8 +492,9 @@ def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Patter
     exactly over the whole periods left.  With a population_factor,
     raises ExplosiveGrowthError at the first generation whose
     population exceeds that factor times p's; a factor that is nan,
-    infinite or not above 0 raises ValueError.
+    infinite or not above 0 raises ValueError, a non-int n TypeError.
     """
+    n = _checked_count(n, "n")
     _check_factor(population_factor)
     if n < 0:
         raise ValueError("generation count must be non-negative")

@@ -233,16 +233,12 @@ def deviation(v1: Rationalish, v2: Rationalish) -> DeviationReport:
 def _row_peak(m: int, i: int) -> int:
     """First j in [0, M] maximizing j*(M-j) / (M^2 + i*j), for 0 < i < M."""
     m2 = m * m
-    lo, hi = 0, m - 1
-    while lo < hi:
-        j = (lo + hi) // 2
-        ij = i * j
-        # g_i(j) >= g_i(j+1), with the row's factor i*(M-i)/M^2 cancelled
-        if j * (m - j) * (m2 + ij + i) >= (j + 1) * (m - j - 1) * (m2 + ij):
-            hi = j
-        else:
-            lo = j + 1
-    return lo
+    # floor(j*) - 1 (see max_deviation_scan), one or two below the answer.
+    j = max((math.isqrt(m2 * (m2 + i * m)) - m2) // i - 1, 0)
+    # g_i(j) < g_i(j+1), with the row's factor i*(M-i)/M^2 cancelled
+    while j * (m - j) * (m2 + i * j + i) < (j + 1) * (m - j - 1) * (m2 + i * j):
+        j += 1
+    return j
 
 
 def max_deviation_scan(step: Rationalish) -> DeviationReport:
@@ -257,12 +253,14 @@ def max_deviation_scan(step: Rationalish) -> DeviationReport:
     g_i(j) >= lam exactly where a strictly concave quadratic in j,
     i*(M-i)*j*(M-j) - lam*M^2*(M^2 + i*j), is >= 0.  So on the integers
     g_i rises strictly to its maximum, on one j or two adjacent ones,
-    and falls strictly after it: the first j with g_i(j) >= g_i(j+1),
-    found by bisection in integer cross-multiplication, is the row's
-    first maximizer.  Row peaks are compared in row order with a
-    strict >, so the result is the exact maximum and its first grid
-    point in row-major order, in about 2*M*log2(M) evaluations
-    instead of (M+1)^2.
+    and falls strictly after it.  Its real peak is j* = (M*sqrt(M^2 +
+    i*M) - M^2)/i, the positive root of i*j^2 + 2*M^2*j - M^3, so the
+    first maximizer is floor(j*) or floor(j*) + 1: walking up from
+    floor(j*) - 1, one isqrt away, to the first j with g_i(j) >=
+    g_i(j+1) in integer cross-multiplication takes at most 3 tests.
+    Row peaks are compared in row order with a strict >, so the result
+    is the exact maximum and its first grid point in row-major order,
+    for M - 1 isqrts instead of (M+1)^2 evaluations.
     """
     s = _exact(step, "step")
     if s <= 0 or (1 / s).denominator != 1:

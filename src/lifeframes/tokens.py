@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .kinematics import compose_parallel
@@ -103,6 +104,13 @@ class CarrierBulletRun:
         return tuple(out)
 
 
+# Default runs share their jump sets: 4096 spans of fewer than 64 moves
+# stay under ~10 MB.
+@lru_cache(maxsize=4096)
+def _span(start: int, stop: int) -> frozenset[int]:
+    return frozenset(range(start, stop))
+
+
 def _pick(pool: Sequence[int], k: int, chosen: Iterable[int] | None) -> frozenset[int]:
     if chosen is None:
         return frozenset(pool[:k])
@@ -124,7 +132,8 @@ def run_carrier_bullet(
     The carrier jumps on carrier_jump_count moves; the bullet jumps on
     bullet_jump_count of the remaining rest moves.  Default placement
     is earliest-first; explicit move sets may be supplied instead (the
-    resulting velocity must not depend on them).
+    resulting velocity must not depend on them).  Default jump sets of
+    fewer than 64 moves come from a bounded cache, so runs share them.
     """
     p = total_moves
     if p < 1:
@@ -139,6 +148,10 @@ def run_carrier_bullet(
         )
     if carrier_jumps is None and bullet_jumps is None:
         n1, n2 = carrier_jump_count, bullet_jump_count
+        # For counts >= 0, n1 | n2 is below 64 exactly when both are, and
+        # | refuses a float, which could otherwise find an equal int's span.
+        if n1 | n2 < 64:
+            return CarrierBulletRun(p, _span(0, n1), _span(n1, n1 + n2))
         return CarrierBulletRun(p, frozenset(range(n1)), frozenset(range(n1, n1 + n2)))
     carrier = _pick(range(p), carrier_jump_count, carrier_jumps)
     if carrier_jumps is None:
@@ -184,7 +197,8 @@ def exhaustive_check(max_total_moves: int) -> OracleReport:
     """Compare every feasible (P, n1, n2) schedule against the formula.
 
     Each case runs its schedule, run_carrier_bullet(P, n1, n2), and the
-    formula, compose_parallel(n1/P, n2/(P-n1)), once each.  When n1 = P
+    formula, compose_parallel(n1/P, n2/(P-n1)), once each; the runs share
+    their jump sets through run_carrier_bullet's bounded cache.  When n1 = P
     the carrier never rests and only n2 = 0 is feasible; its undefined
     0/0 bullet velocity is taken as 0, matching the absorbing light case.
     The inputs come from one table of unit fractions per call, unit[d][n]

@@ -1,8 +1,10 @@
-"""Brute-force deviation scan used only as a cross-check.
+"""Deviation scans used only as cross-checks.
 
-Visits every point of the grid {0, 1/M, .., 1}^2 in row-major order and
-keeps the first strict maximum, so it shares nothing with the package's
-row-wise bisection beyond the formula for the gap itself.
+``scan_all_points`` visits every point of the grid {0, 1/M, .., 1}^2 in
+row-major order and keeps the first strict maximum, so it shares nothing
+with the package's row-wise peak search beyond the formula for the gap
+itself.  ``row_peak_by_bisection`` finds a row's first maximizer by
+bisection, with no closed form for the real peak.
 """
 
 from __future__ import annotations
@@ -36,3 +38,22 @@ def scan_all_points(m: int) -> DeviationReport:
         v2=Fraction(best_j, m),
         delta=Fraction(best_num, best_den),
     )
+
+
+def row_peak_by_bisection(m: int, i: int) -> int:
+    """First j in [0, M] maximizing j*(M-j) / (M^2 + i*j), for 0 < i < M.
+
+    Row i rises strictly to its maximum and falls strictly after it, so
+    the first j with g_i(j) >= g_i(j+1) is bisected for in integers.
+    """
+    m2 = m * m
+    lo, hi = 0, m - 1
+    while lo < hi:
+        j = (lo + hi) // 2
+        ij = i * j
+        # g_i(j) >= g_i(j+1), with the row's factor i*(M-i)/M^2 cancelled
+        if j * (m - j) * (m2 + ij + i) >= (j + 1) * (m - j - 1) * (m2 + ij):
+            hi = j
+        else:
+            lo = j + 1
+    return lo

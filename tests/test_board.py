@@ -208,6 +208,55 @@ class TestPlannedRun:
             detect_ship(catalog_pattern("glider"), max_period=2**31)
 
 
+class TestCountCheck:
+    """Counts are ints, checked before packing; numpy integers become ints."""
+
+    NOT_INTS = [2.5, 4.0, True, "3"]
+
+    @pytest.mark.parametrize("n", NOT_INTS)
+    def test_step_n(self, monkeypatch, n):
+        _forbid(monkeypatch, "_pack")
+        _forbid(monkeypatch, "_evolve_py")
+        with pytest.raises(TypeError, match=r"^n must be an int, not "):
+            step_n(catalog_pattern("glider"), n)
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    @pytest.mark.parametrize("slot", ["generations", "margin"])
+    def test_board(self, monkeypatch, bad, slot):
+        _forbid(monkeypatch, "_pack")
+        counts = {"generations": 10, "margin": 2, slot: bad}
+        with pytest.raises(TypeError, match=rf"^{slot} must be an int, not "):
+            Board(catalog_pattern("glider"), **counts)
+
+    @pytest.mark.parametrize("n", NOT_INTS)
+    def test_board_step(self, n):
+        glider = catalog_pattern("glider")
+        board = Board(glider, 10)
+        with pytest.raises(TypeError, match=r"^generations must be an int, not "):
+            board.step(n)
+        assert (board.generation, board.pattern()) == (0, glider)
+
+    def test_detectors(self, monkeypatch):
+        ships = ship_catalog()
+        _forbid(monkeypatch, "_pack")
+        with pytest.raises(TypeError, match="must be an int, not float"):
+            detect_ship(catalog_pattern("glider"), 8.0)
+        with pytest.raises(TypeError, match="must be an int, not float"):
+            detect_emissions(catalog_pattern("gosper_gun"), 300.0, ships)
+
+    def test_numpy_integers_become_ints(self):
+        glider = catalog_pattern("glider")
+        evolved = step_n(glider, np.int64(3))
+        assert type(evolved.generation) is int
+        assert evolved == _stepped(glider, 3)
+        board = Board(glider, np.int64(10), np.int32(2))
+        board.step(np.int64(3))
+        assert type(board.generation) is int
+        assert board.pattern() == evolved
+        board.step(np.int16(7))
+        assert board.pattern() == _stepped(glider, 10)
+
+
 def _outcome(detect, p, **limits):
     """A detector's report, or the generation and population it refused at."""
     try:

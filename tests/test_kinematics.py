@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scan_reference import scan_all_points
+from scan_reference import row_peak_by_bisection, scan_all_points
 
 from lifeframes.kinematics import (
     CompositionResult,
@@ -285,6 +285,11 @@ class TestScan:
         for i in range(1, m):
             row = [F(j * (m - j), m * m + i * j) for j in range(m + 1)]
             assert _row_peak(m, i) == row.index(max(row)), (m, i)
+
+    @pytest.mark.parametrize("m", [1000, 65536])
+    def test_row_peak_equals_the_bisection_on_every_row(self, m):
+        for i in range(1, m):
+            assert _row_peak(m, i) == row_peak_by_bisection(m, i), (m, i)
 
     def test_thousandth_grid_is_pinned(self):
         assert max_deviation_scan(F(1, 1000)) == DeviationReport(

@@ -118,6 +118,11 @@ class TestCarrierBullet:
                 setattr(run, field.name, getattr(run, field.name))
         twins = (
             run_carrier_bullet(total, n1, n2),
+            # Explicit schedules take the _pick path, which shares nothing
+            # with the cache of default spans.
+            run_carrier_bullet(
+                total, n1, n2, carrier_jumps=range(n1), bullet_jumps=range(n1, n1 + n2)
+            ),
             run_carrier_bullet(
                 total,
                 n1,
@@ -132,6 +137,8 @@ class TestCarrierBullet:
             ),
             dataclasses.replace(run),
         )
+        assert twins[0].carrier_jumps is run.carrier_jumps
+        assert twins[0].bullet_jumps is run.bullet_jumps
         for twin in twins:
             assert twin is not run
             assert twin == run
@@ -140,6 +147,19 @@ class TestCarrierBullet:
         assert len({run, *twins}) == 1
         if n2:
             assert run != run_carrier_bullet(total, n1, n2 - 1)
+
+    def test_spans_longer_than_64_moves_are_not_cached(self):
+        size = tokens._span.cache_info().currsize
+        run = run_carrier_bullet(200, 100, 100)
+        assert run.carrier_jumps == frozenset(range(100))
+        assert run.bullet_jumps == frozenset(range(100, 200))
+        assert tokens._span.cache_info().currsize == size
+
+    @pytest.mark.parametrize("n1, n2", [(2.0, 1), (2, 1.0), (F(2), 1)])
+    def test_a_non_int_count_never_finds_a_cached_span(self, n1, n2):
+        run_carrier_bullet(10, 2, 1)
+        with pytest.raises(TypeError):
+            run_carrier_bullet(10, n1, n2)
 
     def test_trace_is_cumulative_and_monotone(self):
         run = run_carrier_bullet(9, 3, 2)
