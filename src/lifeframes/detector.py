@@ -107,10 +107,9 @@ def detect_ship(
     settle).  Raises ExplosiveGrowthError when the population grows
     past population_factor times the initial count, or the bounding
     box past max_extent on a side, before any recurrence; a max_extent
-    that is nan, infinite or below 1 raises ValueError.  The run is
-    planned on packed keys up front, so a board whose extent plus
-    2 x max_period exceeds 2**31, or whose run could leave the signed
-    64-bit range, raises CoordinateOverflowError before any step.
+    that is nan, infinite or below 1 raises ValueError.  A board too
+    wide for the packed fields, or whose run could leave the signed
+    64-bit range, raises CoordinateOverflowError.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
@@ -369,11 +368,8 @@ def detect_emissions(
     whole periods, to keep 3 from every retired ship's hull.  A board
     that keeps growing still steps every generation.
 
-    The board runs on packed keys, which hold the extent plus
-    2 x (horizon + 2) cells on a side (the 2 is the merge radius).  A
-    board wider than 2**31 minus that slack raises
-    CoordinateOverflowError before the first generation, as does one
-    whose run could leave the signed 64-bit coordinate range.
+    A board too wide for the packed fields, or whose run could leave the
+    signed 64-bit range, raises CoordinateOverflowError.
     """
     ships = [r for r in catalog if r.kind == "ship"]
     if not ships:
@@ -384,7 +380,7 @@ def detect_emissions(
             f"horizon {horizon} is shorter than the shortest catalog "
             f"period {shortest}, so no sighting can be confirmed"
         )
-    board = Board(p, horizon, margin=MERGE_RADIUS)
+    board = Board(p, horizon)
 
     # Per phase size, the phases of that many cells keyed by shape.
     table: dict[int, dict[bytes, _PhaseEntry]] = {}

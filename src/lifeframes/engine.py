@@ -4,11 +4,12 @@ Live cells are kept as a frozenset of (x, y) integer pairs, x growing
 rightward and y growing downward.  ``step`` is a plain sparse
 neighbor-count pass in Python.  ``step_n``, the ship detector and the
 emission census all step one packed ``Board``: sorted 64-bit keys that
-pack each cell's coordinates relative to the bounding-box corner,
+pack each cell's coordinates in two 31-bit fields centred on the box,
 advanced in place by one sort of their neighbor keys per generation.
-It serves any run whose extent plus twice its length fits a 31-bit
-field, wherever the board sits.  Only ``step_n`` falls back to the
-Python pass, for wider boards.  Both paths produce bit-identical cell
+The box grows by at most a cell a side per generation, so the fields
+are re-centred only once it has used up their room.  Only ``step_n``
+falls back to the Python pass, for a board too wide for the fields,
+from the start or from then on.  Both paths produce bit-identical cell
 sets and apply the same population guard.  A board that recurs, in
 place or moved, jumps exactly over the whole periods left of a run.
 The board also splits itself into bodies for the census from the same
@@ -18,6 +19,7 @@ the key format stays in this module.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from collections import Counter
@@ -87,10 +89,16 @@ class ExplosiveGrowthError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pattern:
-    """A finite set of live cells plus a generation counter."""
+    """A finite set of live cells plus a generation counter (an int)."""
 
     cells: frozenset[Cell] = field(default_factory=frozenset)
     generation: int = 0
+
+    def __post_init__(self):
+        if type(self.generation) is not int:
+            object.__setattr__(
+                self, "generation", _checked_count(self.generation, "generation")
+            )
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -172,19 +180,10 @@ def step(p: Pattern) -> Pattern:
     return Pattern(_evolve_py(p.cells), p.generation + 1)
 
 
-def _packed_origin(p: Pattern, generations: int) -> Cell | None:
-    """Origin for packing p over the next generations, or None if too wide.
-
-    The origin is the bounding-box corner moved back by generations, so
-    every cell and neighbor the run can touch packs without carry
-    exactly when the extent plus 2 x generations fits one field.
-    """
-    if not p.cells:
-        return 0, 0
-    min_x, min_y, max_x, max_y = bounding_box(p)
-    if max(max_x - min_x, max_y - min_y) + 1 + 2 * generations > _FIELD:
-        return None
-    return min_x - generations, min_y - generations
+def _room(box: Box, origin: Cell) -> int:
+    """Free cells between box and the packed fields' edge on its tightest side."""
+    (x0, y0, x1, y1), (ox, oy) = box, origin
+    return min(x0 - ox, y0 - oy, _FIELD - 1 - x1 + ox, _FIELD - 1 - y1 + oy)
 
 
 def _pack(cells: frozenset[Cell], origin: Cell) -> np.ndarray:
@@ -199,9 +198,10 @@ def _pack(cells: frozenset[Cell], origin: Cell) -> np.ndarray:
 
 
 def _unpack(keys: np.ndarray, origin: Cell) -> frozenset[Cell]:
-    xs = (keys >> _FIELD_BITS) + origin[0]
-    ys = (keys & (_FIELD - 1)) + origin[1]
-    return frozenset(zip(xs.tolist(), ys.tolist()))
+    # In Python ints: a centred origin may lie outside the 64-bit range.
+    xs = [x + origin[0] for x in (keys >> _FIELD_BITS).tolist()]
+    ys = [y + origin[1] for y in (keys & (_FIELD - 1)).tolist()]
+    return frozenset(zip(xs, ys))
 
 
 def _neighbor_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +257,15 @@ def _component_labels(keys: np.ndarray, sort: tuple | None = None) -> np.ndarray
     return labels
 
 
-def _shift(old: np.ndarray, new: np.ndarray) -> int | None:
-    """The packed move taking sorted keys old onto new, or None."""
+def _shift(old: np.ndarray, new: np.ndarray) -> Cell | None:
+    """The move in cells taking sorted keys old onto new, or None."""
     # Relative to the box corner, as in ``Board.shape``: relative to the
     # first key, keys could alias across the y field.
-    a, b = (
-        int(k[0] >> _FIELD_BITS << _FIELD_BITS) + int((k & (_FIELD - 1)).min())
-        for k in (old, new)
+    (ax, ay), (bx, by) = (
+        (int(k[0] >> _FIELD_BITS), int((k & (_FIELD - 1)).min())) for k in (old, new)
     )
-    return b - a if np.array_equal(old - a, new - b) else None
+    same = np.array_equal(old - (ax * _FIELD + ay), new - (bx * _FIELD + by))
+    return (bx - ax, by - ay) if same else None
 
 
 def _checked_count(n: int, name: str) -> int:
@@ -300,42 +300,48 @@ def _check_growth(
 class Board:
     """A board held as sorted packed keys and stepped in place.
 
-    Packed once for a run of generations steps plus margin cells of
-    slack a side (ints at least 0, else TypeError or ValueError, as is
-    each step's count): a run that could leave the 64-bit range, or
-    whose extent plus 2 x (generations + margin) exceeds 2**31, raises
-    CoordinateOverflowError.  With a population_factor (finite and above
-    0, else ValueError), each step raises ExplosiveGrowthError above
-    that factor x the start count.
+    Packed for a run of generations steps (an int at least 0, else
+    TypeError or ValueError, as is each step's count) in fields centred
+    on the box: a run that could leave the 64-bit range, or a box that
+    leaves the fields no free cell a side, raises CoordinateOverflowError
+    when built or when it gets there.  With a population_factor (finite
+    and above 0, else ValueError), each step raises ExplosiveGrowthError
+    above that factor x the start count.
     """
 
     def __init__(
         self,
         p: Pattern,
         generations: int,
-        margin: int = 0,
+        *,
         population_factor: float | None = None,
     ):
         generations = _checked_count(generations, "generations")
-        margin = _checked_count(margin, "margin")
-        if generations < 0 or margin < 0:
-            raise ValueError("generations and margin must be non-negative")
+        if generations < 0:
+            raise ValueError("generations must be non-negative")
         _check_factor(population_factor)
         _check_headroom(p, generations)
-        origin = _packed_origin(p, generations + margin)
-        if origin is None:
-            raise CoordinateOverflowError(
-                f"board extent plus 2 x {generations + margin} cells does "
-                f"not fit the {_FIELD_BITS}-bit packed fields"
-            )
-        self._origin = origin
-        self._keys = _pack(p.cells, origin)
-        self._sorted = None, None, None  # keys that bodies() split, their sort
-        self._margin = margin
         self.generation = p.generation
+        self._keys, self._origin = np.empty(0, dtype=np.int64), (0, 0)
+        self._centre(bounding_box(p) if p.cells else (0, 0, 0, 0))
+        self._keys = _pack(p.cells, self._origin)
+        self._sorted = None, None, None  # keys that bodies() split, their sort
         self._start = (p.generation, len(p.cells))
         self._end = p.generation + generations
         self._factor = population_factor
+
+    def _centre(self, box: Box) -> None:
+        """Centre the fields on box; CoordinateOverflowError if it leaves no room."""
+        free = _FIELD - 1 - box[2] + box[0], _FIELD - 1 - box[3] + box[1]
+        (nx, ny), room = (box[0] - free[0] // 2, box[1] - free[1] // 2), min(free) // 2
+        if room < 1:
+            raise CoordinateOverflowError(
+                f"box {box} at generation {self.generation} fills the packed fields"
+            )
+        ox, oy = self._origin
+        if self._keys.size:
+            self._keys = self._keys - ((nx - ox) * _FIELD + ny - oy)
+        self._origin, self._room = (nx, ny), room
 
     @property
     def population(self) -> int:
@@ -345,29 +351,35 @@ class Board:
         """Advance in place; an empty board only counts the generations.
 
         A board that recurs, in place or moved, jumps exactly over the
-        whole periods left (Brent's cycle search, one saved board); the
-        cycle's populations have all passed the growth check.
+        whole periods left by moving its origin (Brent's cycle search, one
+        saved board); the cycle's populations passed the growth check.
         """
         end = self.generation + _checked_count(generations, "generations")
         if not self.generation <= end <= self._end:
             raise ValueError("stepping back or past the run the board was packed for")
         first, count = self._start
-        saved, saved_at, power = self._keys, self.generation, 1
-        # Take, put and the jump replace the keys, so a stale sort is unused.
+        saved, saved_at, power = (self._keys, self._origin), self.generation, 1
+        # Take, put and re-centring replace the keys, so a stale sort is unused.
         neighbors = self._sorted[1] if self._sorted[0] is self._keys else None
         while self.generation < end and self._keys.size:
+            if self._room < 1:
+                self._centre(self.box())
             self._keys, neighbors = _evolve_np(self._keys, neighbors), None
+            self._room -= 1
             self.generation += 1
             _check_growth(count, self._factor, self._keys.size, self.generation - first)
-            if self.generation < end and self._keys.size == saved.size:
-                shift = _shift(saved, self._keys)
-                if shift is not None:
+            if self.generation < end and self._keys.size == saved[0].size:
+                move = _shift(saved[0], self._keys)
+                if move is not None:
                     period = self.generation - saved_at
                     cycles = (end - self.generation) // period
-                    self._keys = self._keys + cycles * shift
+                    (sx, sy), (ox, oy) = saved[1], self._origin
+                    dx, dy = move[0] + ox - sx, move[1] + oy - sy
+                    self._origin = ox + cycles * dx, oy + cycles * dy
                     self.generation += cycles * period
             if self.generation - saved_at == power:
-                saved, saved_at, power = self._keys, self.generation, 2 * power
+                saved, saved_at = (self._keys, self._origin), self.generation
+                power *= 2
         self.generation = end
 
     def box(self) -> Box | None:
@@ -414,11 +426,23 @@ class Board:
         self._keys = np.delete(self._keys, at)
 
     def put(self, shape: bytes, corner: Cell) -> None:
-        """Put shape at corner on the board; ValueError if any of its cells is live."""
+        """Put shape at corner on the board; ValueError if any of its cells is live.
+
+        A body with no room re-centres the fields; one too far raises ValueError.
+        """
+        keys = np.frombuffer(shape, dtype=np.int64)
+        x1 = corner[0] + int(keys[-1] >> _FIELD_BITS)
+        body = (*corner, x1, corner[1] + int((keys & (_FIELD - 1)).max()))
+        if _room(body, self._origin) < 1:
+            box = self.box() or body
+            union = (*map(min, box[:2], body[:2]), *map(max, box[2:], body[2:]))
+            with contextlib.suppress(CoordinateOverflowError):
+                self._centre(union)
         keys, at, live = self._placed(shape, corner)
         if live.any():
             raise ValueError(f"the body at {corner} overlaps live cells")
         self._keys = np.insert(self._keys, at, keys)
+        self._room = min(self._room, _room(body, self._origin))
 
     def bodies(
         self, table: Mapping[int, Mapping[bytes, V]]
@@ -430,16 +454,14 @@ class Board:
         shapes as ``shape()`` makes them; only bodies of a listed size
         are looked up, one batch per size.  Returns the values of the
         matched bodies keyed by (shape, box corner), and the union box
-        of all other bodies (None when there are none).  The merge pass
-        reaches MERGE_RADIUS cells past the run, so the board must be
-        packed with margin >= MERGE_RADIUS, else ValueError.
+        of all other bodies (None when there are none).
         """
-        if self._margin < MERGE_RADIUS:
-            raise ValueError(f"bodies need a margin of at least {MERGE_RADIUS}")
         matched: dict[tuple[bytes, Cell], V] = {}
-        keys = self._keys
-        if keys.size == 0:
+        if self._keys.size == 0:
             return matched, None
+        if self._room < 1:
+            self._centre(self.box())
+        keys = self._keys
         self._sorted = keys, *_neighbor_sort(keys)
         labels = _component_labels(keys, self._sorted[1:])
         order = np.argsort(labels, kind="stable")
@@ -488,11 +510,12 @@ class Board:
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
     """n-fold iteration of ``step``.
 
-    On the packed path a board that recurs, in place or moved, jumps
-    exactly over the whole periods left.  With a population_factor,
-    raises ExplosiveGrowthError at the first generation whose
-    population exceeds that factor times p's; a factor that is nan,
-    infinite or not above 0 raises ValueError, a non-int n TypeError.
+    A board that recurs jumps exactly over the whole periods left; one
+    too wide for the packed fields takes the Python pass from then on.
+    With a population_factor, raises ExplosiveGrowthError at the first
+    generation whose population exceeds that factor times p's; a factor
+    that is nan, infinite or not above 0 raises ValueError, a non-int n
+    TypeError.
     """
     n = _checked_count(n, "n")
     _check_factor(population_factor)
@@ -500,14 +523,16 @@ def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Patter
         raise ValueError("generation count must be non-negative")
     if n == 0:
         return p
-    if _packed_origin(p, n) is not None:
+    _check_headroom(p, n)
+    board, cells, done = None, p.cells, 0
+    try:
         board = Board(p, n, population_factor=population_factor)
         board.step(n)
         return board.pattern()
-
-    _check_headroom(p, n)
-    cells = p.cells
-    for t in range(1, n + 1):
+    except CoordinateOverflowError:
+        if board is not None:
+            cells, done = board.pattern().cells, board.generation - p.generation
+    for t in range(done + 1, n + 1):
         cells = _evolve_py(cells)
         _check_growth(len(p.cells), population_factor, len(cells), t)
     return Pattern(cells, p.generation + n)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .engine import _checked_count
 from .kinematics import compose_parallel
 
 __all__ = [
@@ -134,7 +135,14 @@ def run_carrier_bullet(
     is earliest-first; explicit move sets may be supplied instead (the
     resulting velocity must not depend on them).  Default jump sets of
     fewer than 64 moves come from a bounded cache, so runs share them.
+    The three counts are ints (numpy integers too), else TypeError.
     """
+    if type(total_moves) is not int:
+        total_moves = _checked_count(total_moves, "total_moves")
+    if type(carrier_jump_count) is not int:
+        carrier_jump_count = _checked_count(carrier_jump_count, "carrier_jump_count")
+    if type(bullet_jump_count) is not int:
+        bullet_jump_count = _checked_count(bullet_jump_count, "bullet_jump_count")
     p = total_moves
     if p < 1:
         raise ScheduleError("need at least one move")
@@ -148,8 +156,7 @@ def run_carrier_bullet(
         )
     if carrier_jumps is None and bullet_jumps is None:
         n1, n2 = carrier_jump_count, bullet_jump_count
-        # For counts >= 0, n1 | n2 is below 64 exactly when both are, and
-        # | refuses a float, which could otherwise find an equal int's span.
+        # For counts >= 0, n1 | n2 is below 64 exactly when both are.
         if n1 | n2 < 64:
             return CarrierBulletRun(p, _span(0, n1), _span(n1, n1 + n2))
         return CarrierBulletRun(p, frozenset(range(n1)), frozenset(range(n1, n1 + n2)))

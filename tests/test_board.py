@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import census_reference
 import ship_reference
 from test_census import scenes
 from lifeframes import catalog, engine
@@ -22,6 +23,8 @@ from lifeframes.catalog import (
 )
 from lifeframes.detector import DEFAULT_MAX_EXTENT, detect_emissions, detect_ship
 from lifeframes.engine import (
+    COORD_MAX,
+    COORD_MIN,
     Board,
     CoordinateOverflowError,
     ExplosiveGrowthError,
@@ -29,6 +32,7 @@ from lifeframes.engine import (
     _evolve_py,
     bounding_box,
     step_n,
+    translate,
 )
 
 R_PENTOMINO = frozenset({(1, 0), (2, 0), (0, 1), (1, 1), (1, 2)})
@@ -39,6 +43,15 @@ def _forbid(monkeypatch, name):
         raise AssertionError(f"{name} should not run")
 
     monkeypatch.setattr(engine, name, forbidden)
+
+
+def _too_wide(monkeypatch):
+    """Make every board too wide for the packed fields, so step_n runs Python."""
+
+    def no_room(self, box):
+        raise CoordinateOverflowError("no room in the packed fields")
+
+    monkeypatch.setattr(Board, "_centre", no_room)
 
 
 class TestPopulationBound:
@@ -110,7 +123,7 @@ class TestBodies:
         block = {(x + 10, y + 20), (x + 11, y + 20), (x + 10, y + 21), (x + 11, y + 21)}
         loose = {(x - 30, y + 5)}
         cells = {(x + gx, y + gy) for gx, gy in glider.cells} | block | loose
-        board = Board(Pattern(frozenset(cells)), 0, margin=2)
+        board = Board(Pattern(frozenset(cells)), 0)
         shape, _ = Board(glider, 0).shape()
         matched, union = board.bodies({5: {shape: "glider"}})
         assert matched == {(shape, (x, y)): "glider"}
@@ -119,13 +132,9 @@ class TestBodies:
     def test_nothing_unmatched_gives_no_union_box(self):
         glider = catalog_pattern("glider")
         shape, _ = Board(glider, 0).shape()
-        matched, union = Board(glider, 0, margin=2).bodies({5: {shape: 1}})
+        matched, union = Board(glider, 0).bodies({5: {shape: 1}})
         assert matched == {(shape, (0, 0)): 1} and union is None
-        assert Board(Pattern(frozenset()), 0, margin=2).bodies({}) == ({}, None)
-
-    def test_needs_the_merge_radius_as_margin(self):
-        with pytest.raises(ValueError, match="margin"):
-            Board(catalog_pattern("glider"), 4, margin=1).bodies({})
+        assert Board(Pattern(frozenset()), 0).bodies({}) == ({}, None)
 
 
 class TestTakeAndPut:
@@ -136,7 +145,7 @@ class TestTakeAndPut:
         x, y = 2**40, -(2**40)
         block = frozenset({(x + 9, y), (x + 10, y), (x + 9, y + 1), (x + 10, y + 1)})
         cells = frozenset((x + gx, y + gy) for gx, gy in glider.cells) | block
-        board = Board(Pattern(cells), 8, margin=2)
+        board = Board(Pattern(cells), 8)
         board.step(4)
         shape, _ = Board(glider, 0).shape()
         matched, union = board.bodies({5: {shape: "glider"}})
@@ -169,9 +178,50 @@ class TestTakeAndPut:
             with pytest.raises(ValueError, match="outside the packed fields"):
                 board.put(shape, corner)
         assert board.pattern() == before
-        empty = Board(Pattern(frozenset()), 4, margin=2)
+        empty = Board(Pattern(frozenset()), 4)
         with pytest.raises(ValueError, match="not all live"):
             empty.take(shape, (0, 0))
+
+
+class TestRecentring:
+    """A body put where the fields have no room for it re-centres them."""
+
+    def test_a_body_past_the_edge_moves_the_fields(self):
+        # Two blocks 2**31 - 8 apart leave three free cells a side.  A
+        # third block one column past the second has no room left, but
+        # the three still fit once the fields are centred on them.
+        block = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+        far = 2**31 - 8
+        board = Board(Pattern(block | _moved(block, far, 0)), 4)
+        shape, _ = Board(Pattern(block), 0).shape()
+        board.put(shape, (far + 3, 0))
+        cells = block | _moved(block, far, 0) | _moved(block, far + 3, 0)
+        assert board.pattern().cells == cells
+        board.step(2)
+        assert board.pattern() == _stepped(Pattern(cells), 2)
+        # Two columns further on, the four would not fit.
+        before = board.pattern()
+        with pytest.raises(ValueError, match="outside the packed fields"):
+            board.put(shape, (far + 7, 0))
+        assert board.pattern() == before
+
+
+    def test_a_body_put_near_the_edge_lowers_the_room(self):
+        # Two blocks 2**31 - 20 apart in y leave nine free cells a side.
+        # A glider put one cell inside the top edge, flying up, leaves
+        # one: the fields must be re-centred after its first step, long
+        # before the blocks would need it.  (A y field that runs over
+        # carries into x.)
+        block = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+        far = 2**31 - 20
+        board = Board(Pattern(block | _moved(block, 0, far)), 12)
+        up = frozenset((x, 2 - y) for x, y in GLIDER_CELLS)
+        shape, _ = Board(Pattern(up), 0).shape()
+        board.put(shape, (10, -8))
+        cells = block | _moved(block, 0, far) | _moved(up, 10, -8)
+        for t in range(1, 13):
+            board.step()
+            assert board.pattern() == _stepped(Pattern(cells), t)
 
 
 class TestPlannedRun:
@@ -181,14 +231,18 @@ class TestPlannedRun:
         with pytest.raises(ValueError, match="packed for"):
             board.step(2)
 
-    @pytest.mark.parametrize("generations, margin", [(-5, 0), (-1, 2), (4, -1)])
+    @pytest.mark.parametrize("generations, margin", [(-5, 0), (-1, 2)])
     def test_board_refuses_a_negative_run_or_margin(
         self, monkeypatch, generations, margin
     ):
-        # Packing first would put the origin past the cells.
+        # The run is checked before packing.  The margin is gone, and
+        # population_factor is keyword-only, so a positional margin is
+        # refused rather than read as a factor.
         _forbid(monkeypatch, "_pack")
         with pytest.raises(ValueError, match="non-negative"):
-            Board(catalog_pattern("glider"), generations, margin)
+            Board(catalog_pattern("glider"), generations)
+        with pytest.raises(TypeError, match="positional"):
+            Board(catalog_pattern("glider"), 4, margin)
 
     def test_board_refuses_a_negative_step(self):
         glider = catalog_pattern("glider")
@@ -202,10 +256,15 @@ class TestPlannedRun:
     def test_detect_ship_refuses_a_period_bound_too_wide_for_the_fields(
         self, monkeypatch
     ):
+        # Only the board's width limits the packed fields, not the run:
+        # a period bound of 2**31 measures the glider.
+        glider = catalog_pattern("glider")
+        assert detect_ship(glider, max_period=2**31).period == 4
         _forbid(monkeypatch, "_evolve_np")
         _forbid(monkeypatch, "_evolve_py")
+        wide = glider.cells | translate(glider, 2**31 - 4, 0).cells
         with pytest.raises(CoordinateOverflowError, match="packed fields"):
-            detect_ship(catalog_pattern("glider"), max_period=2**31)
+            detect_ship(Pattern(wide), max_period=8, max_extent=2**32)
 
 
 class TestCountCheck:
@@ -221,12 +280,11 @@ class TestCountCheck:
             step_n(catalog_pattern("glider"), n)
 
     @pytest.mark.parametrize("bad", NOT_INTS)
-    @pytest.mark.parametrize("slot", ["generations", "margin"])
+    @pytest.mark.parametrize("slot", ["generations"])
     def test_board(self, monkeypatch, bad, slot):
         _forbid(monkeypatch, "_pack")
-        counts = {"generations": 10, "margin": 2, slot: bad}
         with pytest.raises(TypeError, match=rf"^{slot} must be an int, not "):
-            Board(catalog_pattern("glider"), **counts)
+            Board(catalog_pattern("glider"), **{slot: bad})
 
     @pytest.mark.parametrize("n", NOT_INTS)
     def test_board_step(self, n):
@@ -244,12 +302,21 @@ class TestCountCheck:
         with pytest.raises(TypeError, match="must be an int, not float"):
             detect_emissions(catalog_pattern("gosper_gun"), 300.0, ships)
 
+    @pytest.mark.parametrize("generation", [2.5, 4.0, True, "3"])
+    def test_pattern_generation(self, generation):
+        glider = catalog_pattern("glider")
+        with pytest.raises(TypeError, match=r"^generation must be an int, not "):
+            step_n(Pattern(glider.cells, generation), 3)
+
     def test_numpy_integers_become_ints(self):
         glider = catalog_pattern("glider")
+        started = Pattern(glider.cells, np.int64(3))
+        assert type(started.generation) is int and started.generation == 3
+        assert step_n(started, 2).generation == 5
         evolved = step_n(glider, np.int64(3))
         assert type(evolved.generation) is int
         assert evolved == _stepped(glider, 3)
-        board = Board(glider, np.int64(10), np.int32(2))
+        board = Board(glider, np.int64(10))
         board.step(np.int64(3))
         assert type(board.generation) is int
         assert board.pattern() == evolved
@@ -350,7 +417,7 @@ class TestRecurrenceJump:
     def test_growth_errors_match_the_python_path(self, monkeypatch, name, factor):
         p = gun_battery(1) if name == "battery" else Pattern(R_PENTOMINO)
         packed = _run(p, 1200, factor)
-        monkeypatch.setattr(engine, "_packed_origin", lambda p, n: None)
+        _too_wide(monkeypatch)
         assert packed == _run(p, 1200, factor)
 
     def test_shapes_compare_from_the_box_corner(self):
@@ -359,8 +426,9 @@ class TestRecurrenceJump:
         field = 2**31
         old = np.array([5, field], dtype=np.int64)
         assert engine._shift(old, np.array([0, field - 5], dtype=np.int64)) is None
+        # The move is in cells: 3 * field - 7 packed is (2, field - 7).
         moved = old + 3 * field - 7
-        assert engine._shift(old, moved) == 3 * field - 7
+        assert engine._shift(old, moved) == (2, field - 7)
 
     def test_single_steps_make_no_shape_compare(self, monkeypatch):
         _forbid(monkeypatch, "_shift")
@@ -394,7 +462,7 @@ class TestSortReuse:
         corner = (x1 + 3, y0 + dy)
         ship = {(corner[0] + x, corner[1] + y) for x, y in glider.cells}
         cells = scene.cells | ship
-        board = Board(Pattern(cells), 64, margin=2)
+        board = Board(Pattern(cells), 64)
         if action == "put":
             board.take(shape, corner)
         matched, _ = board.bodies({5: {shape: "glider"}})
@@ -408,3 +476,173 @@ class TestSortReuse:
         assert board.pattern() == _stepped(Pattern(cells), k)
         board.step(64 - k)
         assert board.pattern() == _stepped(Pattern(cells), 64)
+
+
+GLIDER_CELLS = catalog_pattern("glider").cells
+# The glider mirrored in x: it flies left and down.
+LEFT_GLIDER = frozenset((2 - x, y) for x, y in GLIDER_CELLS)
+
+
+def _moved(cells, dx, dy):
+    return frozenset((x + dx, y + dy) for x, y in cells)
+
+
+def _spy(monkeypatch, log):
+    """Log each re-centring (with its generation), kernel step and board compare."""
+    centre, evolve_np, evolve_py, shift = (
+        Board._centre,
+        engine._evolve_np,
+        engine._evolve_py,
+        engine._shift,
+    )
+
+    def spy_centre(self, box):
+        log.append(("centre", self.generation))
+        return centre(self, box)
+
+    def spy_np(*args):
+        log.append(("np",))
+        return evolve_np(*args)
+
+    def spy_py(*args):
+        log.append(("py",))
+        return evolve_py(*args)
+
+    def spy_shift(old, new):
+        move = shift(old, new)
+        log.append(("shift", move))
+        return move
+
+    monkeypatch.setattr(Board, "_centre", spy_centre)
+    monkeypatch.setattr(engine, "_evolve_np", spy_np)
+    monkeypatch.setattr(engine, "_evolve_py", spy_py)
+    monkeypatch.setattr(engine, "_shift", spy_shift)
+
+
+def _turned(cells, sign, shift):
+    """cells turned a half turn (sign -1) or not (1), then moved by shift a side."""
+    return frozenset((sign * x + shift, sign * y + shift) for x, y in cells)
+
+
+def _count(log, kind):
+    return sum(1 for entry in log if entry[0] == kind)
+
+
+class TestWindow:
+    """The packed fields follow the board: only its width limits them."""
+
+    @pytest.mark.parametrize("k", [0, 1, 64])
+    @pytest.mark.parametrize("edge", ["min", "max"])
+    def test_boards_at_the_64_bit_edges(self, monkeypatch, edge, k):
+        # An R-pentomino and a glider flying at the edge, k cells in, so
+        # a run of k generations just stays in range.
+        if edge == "min":
+            sign, shift = -1, COORD_MIN + 14 + k
+        else:
+            sign, shift = 1, COORD_MAX - 14 - k
+        glider = _turned(_moved(GLIDER_CELLS, 12, 12), sign, shift)
+        p = Pattern(_turned(R_PENTOMINO, sign, shift) | glider)
+        _forbid(monkeypatch, "_evolve_py")
+        assert step_n(p, k) == _stepped(p, k)
+        board = Board(p, k)
+        assert (board.pattern(), board.box()) == (p, bounding_box(p))
+        shape, box = Board(Pattern(glider), 0).shape()
+        matched, rest = board.bodies({5: {shape: "glider"}})
+        assert matched == {(shape, box[:2]): "glider"}
+        assert rest == bounding_box(Pattern(p.cells - glider))
+        board.step(k)
+        assert board.pattern() == _stepped(p, k)
+
+    @pytest.mark.parametrize("edge", ["min", "max"])
+    def test_a_glider_jumps_to_the_edge(self, monkeypatch, edge):
+        # Flying towards the edge, the glider ends 750 cells from it.
+        if edge == "min":
+            sign, shift = -1, COORD_MIN + 1002
+        else:
+            sign, shift = 1, COORD_MAX - 1002
+        p = Pattern(_turned(GLIDER_CELLS, sign, shift))
+        _forbid(monkeypatch, "_evolve_py")
+        assert step_n(p, 1000) == _stepped(p, 1000)
+        with pytest.raises(CoordinateOverflowError, match="64-bit"):
+            step_n(p, 1003)
+
+    def test_two_gliders_flying_together_recentre_and_jump(self, monkeypatch):
+        # 2**31 - 12 apart, the pair leaves four free cells a side, so the
+        # fields are re-centred every few generations; the pair recurs
+        # every 4 generations, and a jump spans a re-centring.
+        p = Pattern(GLIDER_CELLS | _moved(GLIDER_CELLS, 2**31 - 12, 0))
+        board = Board(p, 200)
+        expected = p
+        for _ in range(200):
+            board.step()
+            expected = _stepped(expected, 1)
+            assert board.pattern() == expected
+        log = []
+        _spy(monkeypatch, log)
+        assert step_n(p, 200) == expected
+        assert _count(log, "centre") >= 2 and _count(log, "py") == 0
+        # The first board compare that matches is the jump: generation g,
+        # the saved board at g - 4, and a re-centring in between.
+        jump = next(i for i, e in enumerate(log) if e[0] == "shift" and e[1])
+        g = _count(log[:jump], "np")
+        assert any(e == ("centre", t) for e in log[:jump] for t in range(g - 4, g))
+        assert _count(log, "np") < 200
+
+    def test_two_gliders_flying_apart_outgrow_the_fields(self, monkeypatch):
+        # 2**31 - 10 apart and drifting apart by half a cell a generation,
+        # the pair outgrows the fields within a few generations.
+        p = Pattern(LEFT_GLIDER | _moved(GLIDER_CELLS, 2**31 - 10, 0))
+        expected = _stepped(p, 40)
+        log = []
+        with monkeypatch.context() as patched:
+            _spy(patched, log)
+            assert step_n(p, 40) == expected
+        assert _count(log, "np") > 0 and _count(log, "py") > 0
+        assert _count(log, "np") + _count(log, "py") == 40
+        board = Board(p, 40)
+        with pytest.raises(CoordinateOverflowError, match="packed fields"):
+            board.step(40)
+        assert 0 < board.generation < 40
+        assert board.pattern() == _stepped(p, board.generation)
+        with pytest.raises(CoordinateOverflowError, match="packed fields"):
+            detect_ship(p, max_period=40, max_extent=2**32)
+
+    def test_a_census_puts_a_ship_back_while_the_room_is_0(self, monkeypatch):
+        # The gun and blinker that bring each glider back, and a block far
+        # enough to the left that the fields keep one free cell a side:
+        # every generation's step uses it up before the put-backs.
+        block = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+        blinker = {(20, 14), (21, 14), (22, 14)}
+        gun = catalog_pattern("gosper_gun").cells
+        scene = Pattern(gun | blinker | _moved(block, -(2**31) + 39, 0))
+        rooms = []
+        put = Board.put
+
+        def spy_put(self, shape, corner):
+            rooms.append(self._room)
+            return put(self, shape, corner)
+
+        ships = ship_catalog()
+        with monkeypatch.context() as patched:
+            patched.setattr(Board, "put", spy_put)
+            events = detect_emissions(scene, 100, ships)
+        assert rooms and set(rooms) == {0}
+        assert events == census_reference.detect_emissions(scene, 100, ships)
+
+    @pytest.mark.parametrize(
+        "corner", [(0, 0), (COORD_MIN + 8, 7), (COORD_MAX - 9, COORD_MAX - 8)]
+    )
+    def test_a_board_that_dies(self, monkeypatch, corner):
+        pair = frozenset({corner, (corner[0] + 1, corner[1])})
+        assert step_n(Pattern(pair), 8) == Pattern(frozenset(), 8)
+        board = Board(Pattern(pair), 8)
+        board.step(5)
+        assert (board.population, board.box()) == (0, None)
+        assert board.pattern() == Pattern(frozenset(), 5)
+        assert board.bodies({}) == ({}, None)
+        # A glider put on the dead board, 2**40 away, steps on as usual.
+        glider = catalog_pattern("glider")
+        x, y = corner[0] - 2**40 if corner[0] > 0 else corner[0] + 2**40, corner[1]
+        board.put(Board(glider, 0).shape()[0], (x, y))
+        board.step(3)
+        assert board.pattern().cells == _stepped(translate(glider, x, y), 3).cells

@@ -142,7 +142,7 @@ class TestRecurrenceJump:
         glider = catalog_pattern("glider")
 
         def state(p, track, generation, key=(b"s", (5, 6))):
-            board = Board(p, 0, margin=2)
+            board = Board(p, 0)
             return detector._census_state(board, {key: track}, generation)
 
         base, corner = state(glider, _Track(3, (1, 2), 4), 10)

@@ -256,8 +256,8 @@ REFERENCE = {
     "emissions-battery-machine": "6b7583c267ee86ec",
     "emissions-env-much-table": "273c50ae6cd4bbe8",
     "emissions-env-much-machine": "a8cd3b26f4b11458",
-    "emissions-wide-table": "3377871ffc5782cb",
-    "emissions-wide-machine": "3377871ffc5782cb",
+    "emissions-wide-table": "ff92c7ae5a528a94",
+    "emissions-wide-machine": "ff92c7ae5a528a94",
     "emissions-empty-table": "0620dc2ef77a88a0",
     "emissions-empty-machine": "6b7583c267ee86ec",
     "emissions-missing-table": "aa4105b6ac12dfd2",

@@ -20,8 +20,8 @@ from lifeframes.engine import (
     Pattern,
     _component_labels,
     _pack,
-    _packed_origin,
     _unpack,
+    bounding_box,
     step_n,
     translate,
 )
@@ -137,13 +137,19 @@ def merge_edge_cells(draw):
     )
 
 
+def _origin(cells):
+    """An origin that packs cells and their neighbors without carry."""
+    x0, y0, _, _ = bounding_box(Pattern(cells))
+    return x0 - 1, y0 - 1
+
+
 class TestComponentLabels:
     @given(merge_edge_cells())
     @example(step_n(gun_battery(23), 60).cells)
     @example(step_n(catalog_pattern("gosper_gun"), 2000).cells)
     @settings(max_examples=200, deadline=None)
     def test_partition_matches_the_reference(self, cells):
-        origin = _packed_origin(Pattern(cells), 2)
+        origin = _origin(cells)
         keys = _pack(cells, origin)
         labels = _component_labels(keys)
         bodies = {
@@ -157,7 +163,7 @@ class TestComponentLabels:
         for gap, count in ((2, 1), (3, 2)):
             for dy in range(-gap, gap + 1):
                 cells = frozenset({(0, 0), (gap, dy)})
-                keys = _pack(cells, _packed_origin(Pattern(cells), 2))
+                keys = _pack(cells, _origin(cells))
                 assert len(set(_component_labels(keys).tolist())) == count
 
 
@@ -223,8 +229,8 @@ class TestDetectEmissions:
         glider = catalog_pattern("glider")
         horizon = 8
         # The packed fields hold 2**31 cells a side: the board's extent
-        # plus 2 x (horizon + merge radius 2).
-        fits = 2**31 - 2 * (horizon + 2) - 3
+        # plus one free cell a side, whatever the horizon.
+        fits = 2**31 - 5
         scene = Pattern(glider.cells | translate(glider, fits, 0).cells)
         events = detect_emissions(scene, horizon, ships)
         assert [e.first_sighting for e in events] == [(0, 0), (fits, 0)]
@@ -232,6 +238,9 @@ class TestDetectEmissions:
         wide = Pattern(glider.cells | translate(glider, fits + 1, 0).cells)
         with pytest.raises(CoordinateOverflowError, match="packed fields"):
             detect_emissions(wide, horizon, ships)
+        # A narrow board is never refused for a long horizon.
+        assert detect_emissions(catalog_pattern("block"), 4 * 10**9, ships) == []
+        assert detect_emissions(gun_battery(23), 2**31, ships) == []
 
     def test_horizon_shorter_than_any_period(self, ships):
         with pytest.raises(ValueError, match="shorter"):

@@ -161,6 +161,21 @@ class TestCarrierBullet:
         with pytest.raises(TypeError):
             run_carrier_bullet(10, n1, n2)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 4.0, F(2), "2"])
+    @pytest.mark.parametrize(
+        "slot", ["total_moves", "carrier_jump_count", "bullet_jump_count"]
+    )
+    def test_counts_must_be_ints(self, slot, bad):
+        counts = {"total_moves": 10, "carrier_jump_count": 2, "bullet_jump_count": 1}
+        with pytest.raises(TypeError, match=rf"^{slot} must be an int, not "):
+            run_carrier_bullet(**{**counts, slot: bad})
+
+    def test_numpy_integer_counts_become_ints(self):
+        np = pytest.importorskip("numpy")
+        run = run_carrier_bullet(np.int64(10), np.int32(2), np.int16(1))
+        assert run == run_carrier_bullet(10, 2, 1)
+        assert type(run.total_moves) is int and type(run.v12.denominator) is int
+
     def test_trace_is_cumulative_and_monotone(self):
         run = run_carrier_bullet(9, 3, 2)
         trace = run.trace
