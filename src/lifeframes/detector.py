@@ -33,6 +33,7 @@ from .engine import (
     EmptyPatternError,
     ExplosiveGrowthError,
     Pattern,
+    _checked_count,
     translate,
 )
 
@@ -108,17 +109,17 @@ def detect_ship(
     past population_factor times the initial count, or the bounding
     box past max_extent on a side, before any recurrence; a max_extent
     that is nan, infinite or below 1 raises ValueError.  A board too
-    wide for the packed fields, or whose run could leave the signed
-    64-bit range, raises CoordinateOverflowError.
+    wide for the packed fields, or at the signed 64-bit edge, raises
+    CoordinateOverflowError at the generation it gets there.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
-    if max_period < 1:
+    if _checked_count(max_period, "max_period") < 1:
         raise ValueError("max_period must be at least 1")
     # Every comparison with nan is false, so nan is refused here too.
     if not 1 <= max_extent < math.inf:
         raise ValueError(f"max_extent must be finite and >= 1, not {max_extent!r}")
-    board = Board(p, max_period, population_factor=population_factor)
+    board = Board(p, population_factor=population_factor)
     first, (x0, y0, _, _) = board.shape()
     phases = [translate(p, -x0, -y0)]
     for t in range(1, max_period + 1):
@@ -160,7 +161,7 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     corner moves on the next generation; the census needs that to
     follow one physical ship through consecutive generations.
     """
-    board = Board(report.phases[0], report.period)
+    board = Board(report.phases[0])
     walk = [board.shape()]
     for _ in range(report.period):
         board.step()
@@ -173,7 +174,7 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     out = []
     for i, phase in enumerate(report.phases):
         (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) = walk[i : i + 2]
-        if shape != Board(phase, 0).shape()[0]:
+        if shape != Board(phase).shape()[0]:
             raise ValueError("catalog entry phases are out of order")
         entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
         out.append((shape, entry))
@@ -368,19 +369,19 @@ def detect_emissions(
     whole periods, to keep 3 from every retired ship's hull.  A board
     that keeps growing still steps every generation.
 
-    A board too wide for the packed fields, or whose run could leave the
-    signed 64-bit range, raises CoordinateOverflowError.
+    A board too wide for the packed fields, or at the signed 64-bit
+    edge, raises CoordinateOverflowError at the generation it gets there.
     """
     ships = [r for r in catalog if r.kind == "ship"]
     if not ships:
         raise ValueError("catalog holds no ships, so nothing can be confirmed")
     shortest = min(r.period for r in ships)
-    if horizon < shortest:
+    if _checked_count(horizon, "horizon") < shortest:
         raise ValueError(
             f"horizon {horizon} is shorter than the shortest catalog "
             f"period {shortest}, so no sighting can be confirmed"
         )
-    board = Board(p, horizon)
+    board = Board(p)
 
     # Per phase size, the phases of that many cells keyed by shape.
     table: dict[int, dict[bytes, _PhaseEntry]] = {}

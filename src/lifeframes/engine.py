@@ -6,12 +6,13 @@ neighbor-count pass in Python.  ``step_n``, the ship detector and the
 emission census all step one packed ``Board``: sorted 64-bit keys that
 pack each cell's coordinates in two 31-bit fields centred on the box,
 advanced in place by one sort of their neighbor keys per generation.
-The box grows by at most a cell a side per generation, so the fields
-are re-centred only once it has used up their room.  Only ``step_n``
-falls back to the Python pass, for a board too wide for the fields,
-from the start or from then on.  Both paths produce bit-identical cell
-sets and apply the same population guard.  A board that recurs, in
-place or moved, jumps exactly over the whole periods left of a run.
+The box grows by at most a cell a side per generation, so the board
+counts the free cells to the nearer of the fields' and the 64-bit edge,
+and re-centres the fields once they are used up.  No caller gives a run
+length: every guard fires at the generation iterating ``step`` would.
+Only ``step_n`` falls back to ``step``, for a board too wide for the
+fields.  A board that recurs, in place or moved, jumps exactly over the
+whole periods left of a run, as far as the 64-bit edge lets it.
 The board also splits itself into bodies for the census from the same
 sort, looks them up by shape, and takes them off or puts them back, so
 the key format stays in this module.
@@ -48,8 +49,7 @@ Cell = tuple[int, int]
 Box = tuple[int, int, int, int]
 V = TypeVar("V")
 
-# Coordinates live in the signed 64-bit range; the engine refuses to
-# evolve a pattern whose run could leave it rather than wrap.
+# Coordinates live in the signed 64-bit range: a box at its edge is not stepped.
 COORD_MIN = -(2**63)
 COORD_MAX = 2**63 - 1
 
@@ -75,7 +75,7 @@ class EmptyPatternError(ValueError):
 
 
 class CoordinateOverflowError(OverflowError):
-    """Raised when an evolution could push cells outside the 64-bit range."""
+    """Raised when a step could leave the 64-bit range or the packed fields."""
 
 
 class ExplosiveGrowthError(RuntimeError):
@@ -152,38 +152,45 @@ def _evolve_py(cells: frozenset[Cell]) -> frozenset[Cell]:
     )
 
 
-def _check_headroom(p: Pattern, generations: int) -> None:
-    """Refuse runs that could escape the 64-bit coordinate range.
+def _check_headroom(p: Pattern) -> None:
+    """Refuse to step a pattern whose box touches the 64-bit range's edge.
 
     One generation moves the bounding box by at most one cell in each
-    direction (nothing outruns a chess king), so the whole run is safe
-    when box +/- generations stays inside the range.
+    direction (nothing outruns a chess king), so the next one is in
+    range when this one is a cell clear of the edge.
     """
-    if not p.cells:
-        return
-    min_x, min_y, max_x, max_y = bounding_box(p)
-    if (
-        min_x - generations < COORD_MIN
-        or min_y - generations < COORD_MIN
-        or max_x + generations > COORD_MAX
-        or max_y + generations > COORD_MAX
-    ):
+    box = bounding_box(p) if p.cells else (0, 0, 0, 0)
+    if min(box) <= COORD_MIN or max(box) >= COORD_MAX:
         raise CoordinateOverflowError(
-            f"evolving {generations} generation(s) could leave the signed "
-            f"64-bit coordinate range"
+            f"box {box} at generation {p.generation} reaches the edge of the "
+            f"signed 64-bit coordinate range"
         )
 
 
 def step(p: Pattern) -> Pattern:
     """The next generation under B3/S23."""
-    _check_headroom(p, 1)
+    _check_headroom(p)
     return Pattern(_evolve_py(p.cells), p.generation + 1)
 
 
 def _room(box: Box, origin: Cell) -> int:
-    """Free cells between box and the packed fields' edge on its tightest side."""
+    """Free cells on box's tightest side, to the fields' edge or the 64-bit one."""
     (x0, y0, x1, y1), (ox, oy) = box, origin
-    return min(x0 - ox, y0 - oy, _FIELD - 1 - x1 + ox, _FIELD - 1 - y1 + oy)
+    packed = min(x0 - ox, y0 - oy, _FIELD - 1 - x1 + ox, _FIELD - 1 - y1 + oy)
+    return min(packed, x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1)
+
+
+def _clear_cycles(cycles: int, box: Box, move: Cell, period: int) -> int:
+    """At most cycles periods a board recurring from box skips clear of the 64-bit edge.
+
+    A period grows the box at most period - 1 cells a side and moves it
+    by move; the sides it does not near were cleared by the last period.
+    """
+    for v, low, high in zip(move, box[:2], box[2:]):
+        if v:
+            clear = COORD_MAX - high if v > 0 else low - COORD_MIN
+            cycles = min(cycles, max(0, (clear - period) // abs(v) + 1))
+    return cycles
 
 
 def _pack(cells: frozenset[Cell], origin: Cell) -> np.ndarray:
@@ -300,48 +307,35 @@ def _check_growth(
 class Board:
     """A board held as sorted packed keys and stepped in place.
 
-    Packed for a run of generations steps (an int at least 0, else
-    TypeError or ValueError, as is each step's count) in fields centred
-    on the box: a run that could leave the 64-bit range, or a box that
-    leaves the fields no free cell a side, raises CoordinateOverflowError
-    when built or when it gets there.  With a population_factor (finite
-    and above 0, else ValueError), each step raises ExplosiveGrowthError
-    above that factor x the start count.
+    Given no run length, it raises CoordinateOverflowError where ``step``
+    would, or where its box leaves the packed fields no free cell a side
+    (also when built).  With a population_factor (finite and above 0,
+    else ValueError), each step raises ExplosiveGrowthError above that
+    factor x the start count.
     """
 
-    def __init__(
-        self,
-        p: Pattern,
-        generations: int,
-        *,
-        population_factor: float | None = None,
-    ):
-        generations = _checked_count(generations, "generations")
-        if generations < 0:
-            raise ValueError("generations must be non-negative")
+    def __init__(self, p: Pattern, *, population_factor: float | None = None):
         _check_factor(population_factor)
-        _check_headroom(p, generations)
         self.generation = p.generation
         self._keys, self._origin = np.empty(0, dtype=np.int64), (0, 0)
         self._centre(bounding_box(p) if p.cells else (0, 0, 0, 0))
         self._keys = _pack(p.cells, self._origin)
         self._sorted = None, None, None  # keys that bodies() split, their sort
         self._start = (p.generation, len(p.cells))
-        self._end = p.generation + generations
         self._factor = population_factor
 
     def _centre(self, box: Box) -> None:
-        """Centre the fields on box; CoordinateOverflowError if it leaves no room."""
+        """Centre the fields on box; CoordinateOverflowError if they have no room."""
         free = _FIELD - 1 - box[2] + box[0], _FIELD - 1 - box[3] + box[1]
-        (nx, ny), room = (box[0] - free[0] // 2, box[1] - free[1] // 2), min(free) // 2
-        if room < 1:
+        if min(free) < 2:
             raise CoordinateOverflowError(
                 f"box {box} at generation {self.generation} fills the packed fields"
             )
+        nx, ny = box[0] - free[0] // 2, box[1] - free[1] // 2
         ox, oy = self._origin
         if self._keys.size:
             self._keys = self._keys - ((nx - ox) * _FIELD + ny - oy)
-        self._origin, self._room = (nx, ny), room
+        self._origin, self._room = (nx, ny), _room(box, (nx, ny))
 
     @property
     def population(self) -> int:
@@ -351,12 +345,13 @@ class Board:
         """Advance in place; an empty board only counts the generations.
 
         A board that recurs, in place or moved, jumps exactly over the
-        whole periods left by moving its origin (Brent's cycle search, one
-        saved board); the cycle's populations passed the growth check.
+        whole periods left, short of the 64-bit edge, by moving its origin
+        (Brent's cycle search, one saved board); the cycle's populations
+        passed the growth check.
         """
         end = self.generation + _checked_count(generations, "generations")
-        if not self.generation <= end <= self._end:
-            raise ValueError("stepping back or past the run the board was packed for")
+        if end < self.generation:
+            raise ValueError("stepping back")
         first, count = self._start
         saved, saved_at, power = (self._keys, self._origin), self.generation, 1
         # Take, put and re-centring replace the keys, so a stale sort is unused.
@@ -364,6 +359,8 @@ class Board:
         while self.generation < end and self._keys.size:
             if self._room < 1:
                 self._centre(self.box())
+                if self._room < 1:  # at the 64-bit edge, where step refuses
+                    step(self.pattern())
             self._keys, neighbors = _evolve_np(self._keys, neighbors), None
             self._room -= 1
             self.generation += 1
@@ -372,9 +369,12 @@ class Board:
                 move = _shift(saved[0], self._keys)
                 if move is not None:
                     period = self.generation - saved_at
-                    cycles = (end - self.generation) // period
                     (sx, sy), (ox, oy) = saved[1], self._origin
                     dx, dy = move[0] + ox - sx, move[1] + oy - sy
+                    cycles = (end - self.generation) // period
+                    if dx or dy:  # a moving board jumps short of the 64-bit edge
+                        cycles = _clear_cycles(cycles, self.box(), (dx, dy), period)
+                        self._room = 0  # and checks it before the next step
                     self._origin = ox + cycles * dx, oy + cycles * dy
                     self.generation += cycles * period
             if self.generation - saved_at == power:
@@ -508,14 +508,13 @@ class Board:
 
 
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
-    """n-fold iteration of ``step``.
+    """n-fold iteration of ``step``, refusing at the generation it would.
 
-    A board that recurs jumps exactly over the whole periods left; one
-    too wide for the packed fields takes the Python pass from then on.
-    With a population_factor, raises ExplosiveGrowthError at the first
-    generation whose population exceeds that factor times p's; a factor
-    that is nan, infinite or not above 0 raises ValueError, a non-int n
-    TypeError.
+    A recurring board jumps exactly over the whole periods left; one too
+    wide for the packed fields iterates ``step`` from then on.  With a
+    population_factor, raises ExplosiveGrowthError at the first
+    generation over that factor times p's population; a factor that is
+    nan, infinite or not above 0 raises ValueError, a non-int n TypeError.
     """
     n = _checked_count(n, "n")
     _check_factor(population_factor)
@@ -523,16 +522,13 @@ def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Patter
         raise ValueError("generation count must be non-negative")
     if n == 0:
         return p
-    _check_headroom(p, n)
-    board, cells, done = None, p.cells, 0
-    try:
-        board = Board(p, n, population_factor=population_factor)
+    board = None
+    with contextlib.suppress(CoordinateOverflowError):
+        board = Board(p, population_factor=population_factor)
         board.step(n)
         return board.pattern()
-    except CoordinateOverflowError:
-        if board is not None:
-            cells, done = board.pattern().cells, board.generation - p.generation
-    for t in range(done + 1, n + 1):
-        cells = _evolve_py(cells)
-        _check_growth(len(p.cells), population_factor, len(cells), t)
-    return Pattern(cells, p.generation + n)
+    q = p if board is None else board.pattern()
+    for t in range(q.generation - p.generation + 1, n + 1):
+        q = step(q)
+        _check_growth(len(p.cells), population_factor, len(q.cells), t)
+    return q

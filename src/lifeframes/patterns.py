@@ -30,9 +30,9 @@ CANONICAL_RULE = "B3/S23"
 # Values a run count may take: non-negative 32-bit.
 _MAX_RUN = 2**32 - 1
 
-# Live cells one RLE document may hold.  A run is checked against it
-# before any of its cells are added, so a huge declared run fails at
-# once instead of filling memory one cell at a time.
+# Live cells one document of either format may hold.  A run is checked
+# against it before any of its cells are added, so a huge declared run
+# fails at once instead of filling memory one cell at a time.
 _MAX_CELLS = 1 << 22
 
 # Accepted spellings of the one supported rule.
@@ -88,6 +88,13 @@ class PatternDocument:
         else:
             cells, width, height = frozenset(), 0, 0
         return cls(cells, width, height, CANONICAL_RULE, name, tuple(comments))
+
+
+def _add_run(cells: set, x: int, y: int, run: int, pos: tuple[int, int]) -> None:
+    """Add run live cells rightward from (x, y), or refuse them at pos past the cap."""
+    if len(cells) + run > _MAX_CELLS:
+        raise PatternFormatError(f"more than {_MAX_CELLS} live cells", *pos)
+    cells.update((x + i, y) for i in range(run))
 
 
 def _canonical_rule(text: str, line: int, column: int) -> str:
@@ -172,12 +179,7 @@ def parse_rle(text: str) -> PatternDocument:
                         f"body exceeds declared {width}x{height} bounds", *pos
                     )
                 if ch == "o":
-                    if len(cells) + run > _MAX_CELLS:
-                        raise PatternFormatError(
-                            f"more than {_MAX_CELLS} live cells", *pos
-                        )
-                    for i in range(run):
-                        cells.add((x + i, y))
+                    _add_run(cells, x, y, run, pos)
                 x += run
 
     if not terminated:
@@ -266,7 +268,7 @@ def parse_plaintext(text: str) -> PatternDocument:
         width = max(width, len(row))
         for x, ch in enumerate(row):
             if ch in "O*":
-                cells.add((x, y))
+                _add_run(cells, x, y, 1, (row_lines[y], x + 1))
             elif ch != ".":
                 raise PatternFormatError(
                     f"unexpected character {ch!r}", row_lines[y], x + 1

@@ -3,7 +3,8 @@
 The detector is checked against ``ship_reference``, which steps with
 the Python ``step`` and compares canonical cell sets; the population
 guard is checked on both of step_n's paths.  The jump over whole
-periods of a recurring board is checked against plain stepping.
+periods of a recurring board is checked against plain stepping, and
+every 64-bit refusal against the generation at which ``step`` refuses.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from lifeframes.engine import (
     Pattern,
     _evolve_py,
     bounding_box,
+    step,
     step_n,
     translate,
 )
@@ -103,7 +105,7 @@ class TestFactorCheck:
     @pytest.mark.parametrize("factor", BAD)
     def test_board(self, factor):
         with pytest.raises(ValueError, match="population_factor"):
-            Board(Pattern(R_PENTOMINO), 4, population_factor=factor)
+            Board(Pattern(R_PENTOMINO), population_factor=factor)
 
 
 class TestMaxExtentCheck:
@@ -123,18 +125,18 @@ class TestBodies:
         block = {(x + 10, y + 20), (x + 11, y + 20), (x + 10, y + 21), (x + 11, y + 21)}
         loose = {(x - 30, y + 5)}
         cells = {(x + gx, y + gy) for gx, gy in glider.cells} | block | loose
-        board = Board(Pattern(frozenset(cells)), 0)
-        shape, _ = Board(glider, 0).shape()
+        board = Board(Pattern(frozenset(cells)))
+        shape, _ = Board(glider).shape()
         matched, union = board.bodies({5: {shape: "glider"}})
         assert matched == {(shape, (x, y)): "glider"}
         assert union == (x - 30, y + 5, x + 11, y + 21)
 
     def test_nothing_unmatched_gives_no_union_box(self):
         glider = catalog_pattern("glider")
-        shape, _ = Board(glider, 0).shape()
-        matched, union = Board(glider, 0).bodies({5: {shape: 1}})
+        shape, _ = Board(glider).shape()
+        matched, union = Board(glider).bodies({5: {shape: 1}})
         assert matched == {(shape, (0, 0)): 1} and union is None
-        assert Board(Pattern(frozenset()), 0).bodies({}) == ({}, None)
+        assert Board(Pattern(frozenset())).bodies({}) == ({}, None)
 
 
 class TestTakeAndPut:
@@ -145,9 +147,9 @@ class TestTakeAndPut:
         x, y = 2**40, -(2**40)
         block = frozenset({(x + 9, y), (x + 10, y), (x + 9, y + 1), (x + 10, y + 1)})
         cells = frozenset((x + gx, y + gy) for gx, gy in glider.cells) | block
-        board = Board(Pattern(cells), 8)
+        board = Board(Pattern(cells))
         board.step(4)
-        shape, _ = Board(glider, 0).shape()
+        shape, _ = Board(glider).shape()
         matched, union = board.bodies({5: {shape: "glider"}})
         [(shape, corner)] = matched
         return board, shape, corner, block, union
@@ -178,7 +180,7 @@ class TestTakeAndPut:
             with pytest.raises(ValueError, match="outside the packed fields"):
                 board.put(shape, corner)
         assert board.pattern() == before
-        empty = Board(Pattern(frozenset()), 4)
+        empty = Board(Pattern(frozenset()))
         with pytest.raises(ValueError, match="not all live"):
             empty.take(shape, (0, 0))
 
@@ -192,8 +194,8 @@ class TestRecentring:
         # the three still fit once the fields are centred on them.
         block = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
         far = 2**31 - 8
-        board = Board(Pattern(block | _moved(block, far, 0)), 4)
-        shape, _ = Board(Pattern(block), 0).shape()
+        board = Board(Pattern(block | _moved(block, far, 0)))
+        shape, _ = Board(Pattern(block)).shape()
         board.put(shape, (far + 3, 0))
         cells = block | _moved(block, far, 0) | _moved(block, far + 3, 0)
         assert board.pattern().cells == cells
@@ -214,9 +216,9 @@ class TestRecentring:
         # carries into x.)
         block = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
         far = 2**31 - 20
-        board = Board(Pattern(block | _moved(block, 0, far)), 12)
+        board = Board(Pattern(block | _moved(block, 0, far)))
         up = frozenset((x, 2 - y) for x, y in GLIDER_CELLS)
-        shape, _ = Board(Pattern(up), 0).shape()
+        shape, _ = Board(Pattern(up)).shape()
         board.put(shape, (10, -8))
         cells = block | _moved(block, 0, far) | _moved(up, 10, -8)
         for t in range(1, 13):
@@ -225,28 +227,30 @@ class TestRecentring:
 
 
 class TestPlannedRun:
-    def test_board_refuses_steps_past_its_planned_run(self):
-        board = Board(catalog_pattern("glider"), 4)
+    """No caller plans a run: a board steps as far as it is asked."""
+
+    def test_a_board_steps_any_count_in_any_pieces(self):
+        glider = catalog_pattern("glider")
+        board = Board(glider)
         board.step(3)
-        with pytest.raises(ValueError, match="packed for"):
-            board.step(2)
+        board.step(2**40)
+        assert board.pattern() == step_n(glider, 2**40 + 3)
 
     @pytest.mark.parametrize("generations, margin", [(-5, 0), (-1, 2)])
     def test_board_refuses_a_negative_run_or_margin(
         self, monkeypatch, generations, margin
     ):
-        # The run is checked before packing.  The margin is gone, and
-        # population_factor is keyword-only, so a positional margin is
-        # refused rather than read as a factor.
+        # The run and the margin are gone, and population_factor is
+        # keyword-only, so neither is read as a factor: both are refused
+        # before packing.
         _forbid(monkeypatch, "_pack")
-        with pytest.raises(ValueError, match="non-negative"):
-            Board(catalog_pattern("glider"), generations)
-        with pytest.raises(TypeError, match="positional"):
-            Board(catalog_pattern("glider"), 4, margin)
+        for args in [(generations,), (4, margin)]:
+            with pytest.raises(TypeError, match="positional"):
+                Board(catalog_pattern("glider"), *args)
 
     def test_board_refuses_a_negative_step(self):
         glider = catalog_pattern("glider")
-        board = Board(glider, 10)
+        board = Board(glider)
         with pytest.raises(ValueError, match="back"):
             board.step(-3)
         assert board.pattern() == glider
@@ -257,9 +261,9 @@ class TestPlannedRun:
         self, monkeypatch
     ):
         # Only the board's width limits the packed fields, not the run:
-        # a period bound of 2**31 measures the glider.
+        # a period bound at the top of the 64-bit range measures the glider.
         glider = catalog_pattern("glider")
-        assert detect_ship(glider, max_period=2**31).period == 4
+        assert detect_ship(glider, max_period=COORD_MAX).period == 4
         _forbid(monkeypatch, "_evolve_np")
         _forbid(monkeypatch, "_evolve_py")
         wide = glider.cells | translate(glider, 2**31 - 4, 0).cells
@@ -268,7 +272,7 @@ class TestPlannedRun:
 
 
 class TestCountCheck:
-    """Counts are ints, checked before packing; numpy integers become ints."""
+    """Counts are ints, checked before any step; numpy integers become ints."""
 
     NOT_INTS = [2.5, 4.0, True, "3"]
 
@@ -282,14 +286,15 @@ class TestCountCheck:
     @pytest.mark.parametrize("bad", NOT_INTS)
     @pytest.mark.parametrize("slot", ["generations"])
     def test_board(self, monkeypatch, bad, slot):
-        _forbid(monkeypatch, "_pack")
+        # The board takes no run length: its count is the step's.
+        _forbid(monkeypatch, "_evolve_np")
         with pytest.raises(TypeError, match=rf"^{slot} must be an int, not "):
-            Board(catalog_pattern("glider"), **{slot: bad})
+            Board(catalog_pattern("glider")).step(**{slot: bad})
 
     @pytest.mark.parametrize("n", NOT_INTS)
     def test_board_step(self, n):
         glider = catalog_pattern("glider")
-        board = Board(glider, 10)
+        board = Board(glider)
         with pytest.raises(TypeError, match=r"^generations must be an int, not "):
             board.step(n)
         assert (board.generation, board.pattern()) == (0, glider)
@@ -316,7 +321,7 @@ class TestCountCheck:
         evolved = step_n(glider, np.int64(3))
         assert type(evolved.generation) is int
         assert evolved == _stepped(glider, 3)
-        board = Board(glider, np.int64(10))
+        board = Board(glider)
         board.step(np.int64(3))
         assert type(board.generation) is int
         assert board.pattern() == evolved
@@ -456,13 +461,13 @@ class TestSortReuse:
     @settings(max_examples=150, deadline=None)
     def test_steps_after_bodies_match_the_python_pass(self, scene, action, k, dy):
         glider = catalog_pattern("glider")
-        shape, _ = Board(glider, 0).shape()
+        shape, _ = Board(glider).shape()
         _, y0, x1, _ = bounding_box(scene)
         # Three columns clear of the scene, the glider is a body of its own.
         corner = (x1 + 3, y0 + dy)
         ship = {(corner[0] + x, corner[1] + y) for x, y in glider.cells}
         cells = scene.cells | ship
-        board = Board(Pattern(cells), 64)
+        board = Board(Pattern(cells))
         if action == "put":
             board.take(shape, corner)
         matched, _ = board.bodies({5: {shape: "glider"}})
@@ -544,9 +549,9 @@ class TestWindow:
         p = Pattern(_turned(R_PENTOMINO, sign, shift) | glider)
         _forbid(monkeypatch, "_evolve_py")
         assert step_n(p, k) == _stepped(p, k)
-        board = Board(p, k)
+        board = Board(p)
         assert (board.pattern(), board.box()) == (p, bounding_box(p))
-        shape, box = Board(Pattern(glider), 0).shape()
+        shape, box = Board(Pattern(glider)).shape()
         matched, rest = board.bodies({5: {shape: "glider"}})
         assert matched == {(shape, box[:2]): "glider"}
         assert rest == bounding_box(Pattern(p.cells - glider))
@@ -555,23 +560,33 @@ class TestWindow:
 
     @pytest.mark.parametrize("edge", ["min", "max"])
     def test_a_glider_jumps_to_the_edge(self, monkeypatch, edge):
-        # Flying towards the edge, the glider ends 750 cells from it.
+        # Flying towards the edge from 1002 cells in, the glider's box
+        # touches it at generation 3997, where step refuses.  step_n
+        # jumps most of the way, steps the rest, and refuses there too.
         if edge == "min":
             sign, shift = -1, COORD_MIN + 1002
         else:
             sign, shift = 1, COORD_MAX - 1002
         p = Pattern(_turned(GLIDER_CELLS, sign, shift))
-        _forbid(monkeypatch, "_evolve_py")
-        assert step_n(p, 1000) == _stepped(p, 1000)
-        with pytest.raises(CoordinateOverflowError, match="64-bit"):
-            step_n(p, 1003)
+        at_edge = _stepped(p, 3997)
+        refused = "at generation 3997 reaches the edge of the signed 64-bit"
+        with pytest.raises(CoordinateOverflowError, match=refused):
+            step(at_edge)
+        log = []
+        _spy(monkeypatch, log)
+        assert step_n(p, 3997) == at_edge
+        for n in (3998, 2**64):
+            with pytest.raises(CoordinateOverflowError, match=refused):
+                step_n(p, n)
+        # Three calls, each in a few dozen kernel steps at most.
+        assert _count(log, "py") == 0 and _count(log, "np") < 3 * 30
 
     def test_two_gliders_flying_together_recentre_and_jump(self, monkeypatch):
         # 2**31 - 12 apart, the pair leaves four free cells a side, so the
         # fields are re-centred every few generations; the pair recurs
         # every 4 generations, and a jump spans a re-centring.
         p = Pattern(GLIDER_CELLS | _moved(GLIDER_CELLS, 2**31 - 12, 0))
-        board = Board(p, 200)
+        board = Board(p)
         expected = p
         for _ in range(200):
             board.step()
@@ -599,7 +614,7 @@ class TestWindow:
             assert step_n(p, 40) == expected
         assert _count(log, "np") > 0 and _count(log, "py") > 0
         assert _count(log, "np") + _count(log, "py") == 40
-        board = Board(p, 40)
+        board = Board(p)
         with pytest.raises(CoordinateOverflowError, match="packed fields"):
             board.step(40)
         assert 0 < board.generation < 40
@@ -635,7 +650,7 @@ class TestWindow:
     def test_a_board_that_dies(self, monkeypatch, corner):
         pair = frozenset({corner, (corner[0] + 1, corner[1])})
         assert step_n(Pattern(pair), 8) == Pattern(frozenset(), 8)
-        board = Board(Pattern(pair), 8)
+        board = Board(Pattern(pair))
         board.step(5)
         assert (board.population, board.box()) == (0, None)
         assert board.pattern() == Pattern(frozenset(), 5)
@@ -643,6 +658,59 @@ class TestWindow:
         # A glider put on the dead board, 2**40 away, steps on as usual.
         glider = catalog_pattern("glider")
         x, y = corner[0] - 2**40 if corner[0] > 0 else corner[0] + 2**40, corner[1]
-        board.put(Board(glider, 0).shape()[0], (x, y))
+        board.put(Board(glider).shape()[0], (x, y))
         board.step(3)
         assert board.pattern().cells == _stepped(translate(glider, x, y), 3).cells
+
+
+EDGE_PIECES = [
+    catalog_pattern(name).cells for name in ("block", "blinker", "glider", "lwss")
+]
+
+
+@st.composite
+def edge_boards(draw):
+    """A block, blinker, glider or LWSS in any orientation, at most 64 cells
+    from one or two 64-bit edges: a side or a corner of the range."""
+    turn = draw(st.sampled_from(catalog._ORIENTATIONS))
+    cells = catalog._transform(draw(st.sampled_from(EDGE_PIECES)), turn)
+    box = bounding_box(Pattern(cells))
+    sides = draw(st.sampled_from([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)][1:]))
+    shift = []
+    for side, low, high in zip(sides, box[:2], box[2:]):
+        if side < 0:
+            shift.append(COORD_MIN + draw(st.integers(0, 64)) - low)
+        else:
+            shift.append(COORD_MAX - draw(st.integers(0, 64)) - high if side else -low)
+    return translate(Pattern(cells, draw(st.integers(0, 5))), *shift)
+
+
+def _refused(run):
+    """run's result, or the message of the CoordinateOverflowError it raised."""
+    try:
+        return run()
+    except CoordinateOverflowError as exc:
+        return str(exc)
+
+
+def _iterated(p, n):
+    for _ in range(n):
+        p = step(p)
+    return p
+
+
+class TestEdgeExactness:
+    """Every 64-bit refusal fires where iterating ``step`` refuses.
+
+    The message names the box and the generation, so equal messages
+    refuse at the same generation.  Runs far past the period jump, and
+    the jump must stop short of the edge.
+    """
+
+    @given(edge_boards(), st.integers(0, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_step_n_and_board_refuse_where_step_does(self, p, n):
+        expected = _refused(lambda: _iterated(p, n))
+        assert _refused(lambda: step_n(p, n)) == expected
+        board = Board(p)
+        assert _refused(lambda: board.step(n) or board.pattern()) == expected

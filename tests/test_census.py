@@ -142,7 +142,7 @@ class TestRecurrenceJump:
         glider = catalog_pattern("glider")
 
         def state(p, track, generation, key=(b"s", (5, 6))):
-            board = Board(p, 0)
+            board = Board(p)
             return detector._census_state(board, {key: track}, generation)
 
         base, corner = state(glider, _Track(3, (1, 2), 4), 10)
@@ -278,7 +278,7 @@ class TestRetirementRules:
 
         def retire(corner, dx, dy, generation=0):
             [report] = [r for r in ships if (r.displacement, r.period) == ((dx, dy), 4)]
-            key = (Board(report.phases[0], 0).shape()[0], corner)
+            key = (Board(report.phases[0]).shape()[0], corner)
             return detector._retired(key, generation, phases, 4)
 
         return retire

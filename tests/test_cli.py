@@ -84,6 +84,16 @@ class TestRun:
             f"box={x0 + d},{y0 + d},{x1 + d},{y1 + d}",
         ]
 
+    def test_a_ship_is_refused_where_it_reaches_the_64_bit_edge(self, capsys, tmp_path):
+        # The LWSS flies left 2 cells every 4 generations; its box first
+        # touches -2**63 at generation 2**64 - 1, where step would refuse.
+        path = tmp_path / "lwss.rle"
+        path.write_text(settled_rle("lwss"))
+        code, out, err = run_cli(capsys, "run", str(path), "--gens", str(2**65))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: box ({-(2**63)}, 0, ")
+        assert f"at generation {2**64 - 1} reaches the edge" in err
+
     def test_pattern_that_dies(self, capsys, tmp_path):
         path = tmp_path / "sparks.rle"
         path.write_text("x = 6, y = 1, rule = B3/S23\no4bo!\n")

@@ -73,6 +73,11 @@ CASES = [
            "--explosion-factor", "1000", env="2.0"),
     *_both("run-factor-nan", "run", "r.rle", "--explosion-factor", "nan"),
     *_both("run-wide", "run", "wide.rle", "--gens", "3"),
+    # No run is refused up front: a still life runs to the top of the
+    # 64-bit range, and a ship is refused at the generation its box
+    # reaches the edge (2**64 - 1 for the LWSS), naming it.
+    *_both("run-block-max", "run", "block.rle", "--gens", "9223372036854775807"),
+    *_both("run-lwss-edge", "run", "lwss.rle", "--gens", "36893488147419103232"),
     *_both("run-empty", "run", "empty.rle", "--gens", "2"),
     *_both("run-missing", "run", "missing.rle"),
     *_both("run-malformed", "run", "bad.rle"),
@@ -87,6 +92,8 @@ CASES = [
     *_both("detect-r-factor-2", "detect", "r.rle", "--explosion-factor", "2"),
     *_both("detect-env-much", "detect", "glider.rle", env="much"),
     *_both("detect-empty", "detect", "empty.rle"),
+    *_both("detect-glider-max", "detect", "glider.rle",
+           "--max-period", "9223372036854775807"),
     # compose
     *_both("compose-parallel", "compose", "--v1", "2/5", "--v2x", "1/2"),
     *_both("compose-oblique", "compose", "--v1", "1/4", "--v2x", "0", "--v2y", "1/3"),
@@ -176,6 +183,10 @@ REFERENCE = {
     "run-factor-nan-machine": "d1bf75a50ca3c6cf",
     "run-wide-table": "d333cd0dfb9a31af",
     "run-wide-machine": "188d134651cb591b",
+    "run-block-max-table": "12f0ca66af69bac2",
+    "run-block-max-machine": "9ca8f6355684c259",
+    "run-lwss-edge-table": "07b085e851437a26",
+    "run-lwss-edge-machine": "07b085e851437a26",
     "run-empty-table": "6ff994abf3168396",
     "run-empty-machine": "0989e38c632e0826",
     "run-missing-table": "aa4105b6ac12dfd2",
@@ -202,6 +213,8 @@ REFERENCE = {
     "detect-env-much-machine": "3c22526882d69ad7",
     "detect-empty-table": "8f0d879f344de280",
     "detect-empty-machine": "8f0d879f344de280",
+    "detect-glider-max-table": "94428dfae1839ff8",
+    "detect-glider-max-machine": "d8f7cee18ce28bac",
     "compose-parallel-table": "8bdb8ab7d25421ff",
     "compose-parallel-machine": "337a355551421ccc",
     "compose-oblique-table": "3e72bd58596450eb",

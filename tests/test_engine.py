@@ -110,10 +110,16 @@ def test_overflow_guard_near_coordinate_limit():
 
 
 def test_step_n_overflow_guard_counts_generations():
+    # A still life 10 cells from the edge never reaches it, so it runs
+    # any number of generations; one at the edge is refused before its
+    # first step, at its own generation, by step_n as by step.
     p = translate(Pattern(BLOCK), COORD_MAX - 10, 0)
-    step_n(p, 9)
-    with pytest.raises(CoordinateOverflowError):
-        step_n(p, 11)
+    assert step_n(p, 11) == Pattern(p.cells, 11)
+    assert step_n(p, 2**70) == Pattern(p.cells, 2**70)
+    edge = translate(Pattern(BLOCK, 5), COORD_MAX - 1, 0)
+    for run in (step, lambda q: step_n(q, 1)):
+        with pytest.raises(CoordinateOverflowError, match="at generation 5 reaches"):
+            run(edge)
 
 
 def test_far_coordinates_still_evolve():

@@ -84,10 +84,19 @@ class TestParseRle:
         assert time.perf_counter() - start < 0.1
 
     def test_cell_cap_is_exact(self, monkeypatch):
+        # Both formats share the cap, and refuse at the first cell over it.
         monkeypatch.setattr(patterns, "_MAX_CELLS", 6)
-        assert len(parse_rle("x = 7, y = 2, rule = B3/S23\n3o$3o!\n").cells) == 6
-        with pytest.raises(PatternFormatError, match="line 2, column 8"):
-            parse_rle("x = 7, y = 2, rule = B3/S23\n3o$3bo3o!\n")
+        rle = "x = 7, y = 2, rule = B3/S23\n3o$3o!\n", "x = 7, y = 2\n3o$3bo3o!\n"
+        cells = "!Name: six\nOOO\nOOO\n", "!Name: seven\nOOO\nO.*.OO\n"
+        for parse, (fits, over), at in [
+            (parse_rle, rle, "line 2, column 8"),
+            (parse_plaintext, cells, "line 3, column 6"),
+            (parse_auto, rle, "line 2, column 8"),
+            (parse_auto, cells, "line 3, column 6"),
+        ]:
+            assert len(parse(fits).cells) == 6
+            with pytest.raises(PatternFormatError, match=f"{at}: more than 6 live"):
+                parse(over)
 
     def test_row_overrun(self):
         with pytest.raises(PatternFormatError, match="bounds"):
