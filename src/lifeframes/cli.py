@@ -543,9 +543,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compose.add_argument(
         "--law", choices=("life", "lorentz", "galilean"), default="life"
     )
-    p_compose.add_argument("--v1", type=_fraction, required=True)
-    p_compose.add_argument("--v2x", type=_fraction, required=True)
-    p_compose.add_argument("--v2y", type=_fraction, default=Fraction(0))
+    # argparse reads "-1/3" after a space as an option of its own.
+    sign = "an exact fraction; give a negative one with '=', as %s=-1/3"
+    p_compose.add_argument("--v1", type=_fraction, required=True, help=sign % "--v1")
+    p_compose.add_argument("--v2x", type=_fraction, required=True, help=sign % "--v2x")
+    p_compose.add_argument(
+        "--v2y", type=_fraction, default=Fraction(0), help=sign % "--v2y"
+    )
     p_compose.set_defaults(handler=cmd_compose)
 
     p_verify = sub.add_parser(

@@ -284,28 +284,54 @@ def _keeps_apart(ship: _Retired, retired, generation: int) -> bool:
     return True
 
 
-def _replay_keeps_apart(retired, boxes, saved_at: int, period: int, move: Cell) -> bool:
+def _widens(a: Box, b: Box, w: Cell, u: Cell, apart: int) -> bool:
+    """Whether a + k·w + τ·u is at least apart from b for every k >= 1, τ >= 0.
+
+    Each side's separation is affine in k and τ, so one that is at least
+    apart at k = 1, τ = 0 and shrinks along neither w nor u suffices.
+    """
+    x0, y0, x1, y1 = _shifted(a, w, 1)
+    sides = (x0 - b[2], 1, 0), (b[0] - x1, -1, 0), (y0 - b[3], 1, 1), (b[1] - y1, -1, 1)
+    return any(g >= apart and min(d * w[i], d * u[i]) >= 0 for g, d, i in sides)
+
+
+def _replay_keeps_apart(
+    retired, boxes, backs, saved_at: int, period: int, move: Cell
+) -> bool:
     """Whether replaying whole periods keeps every retired ship off the board.
 
     boxes holds the board's box (or None) by generation, at least over
-    the last period when a ship is retired.  In a retired ship's frame,
-    each later period moves those boxes, and the hulls of the ships
-    retired during the period, by w = move − period·v.  A ship retired
-    during the period at another velocity than a retired one refuses.
+    the last period when a ship is retired, and backs each ship put back
+    since saved_at and when; one retired before the period and back in
+    it refuses.  In a retired ship's frame, each later period moves on by
+    w = move − period·v the board's boxes, the box each ship retired and
+    back in the period swept, and the hull of each still off; one at
+    another velocity also drifts by u, the velocity difference, after
+    each copy retires, so it needs a side that widens along both.
     """
     boxes = [(t, box) for t, box in boxes if saved_at <= t < saved_at + period]
-    cycle = [o for o in retired if o.generation >= saved_at]
-    velocities = {o.velocity for o in retired}
-    if (retired and len(boxes) < period) or (cycle and len(velocities) > 1):
+    cycle = [(o, None) for o in retired if o.generation >= saved_at]
+    cycle += [(o, t) for o, t in backs if o.generation >= saved_at]
+    early = any(o.generation < saved_at < t for o, t in backs)
+    if early or (retired and len(boxes) < period):
         return False
     for ship in retired:
         (vx, vy), s = ship.velocity, ship.scale
         w = move[0] * s - period * vx, move[1] * s - period * vy
-        hulls = [o.hull for o in cycle] + [
+        hulls = [
             _shifted(tuple(c * s for c in box), ship.velocity, -t)
             for t, box in boxes
             if box is not None
         ]
+        for o, back in cycle:
+            u = o.velocity[0] - vx, o.velocity[1] - vy
+            hull = _shifted(o.hull, u, o.generation)
+            if back is not None:
+                hulls.append(_union(hull, _shifted(o.hull, u, back)))
+            elif u == (0, 0):
+                hulls.append(hull)
+            elif not _widens(hull, ship.hull, w, u, _APART * s):
+                return False
         if not all(_apart_for_good(h, ship.hull, w, 1, _APART * s) for h in hulls):
             return False
     return True
@@ -364,10 +390,11 @@ def detect_emissions(
     ship is 3 or more and not shrinking, is taken off and evolves alone;
     before each split, one within 2 of the board's box goes back with
     its confirmed track, which can change no output meanwhile.  A replay
-    also needs no ship back during the period, and the board's boxes of
-    the period and the hulls of the ships retired in it, moved on by
-    whole periods, to keep 3 from every retired ship's hull.  A board
-    that keeps growing still steps every generation.
+    needs no ship retired before the period back in it, and, moved on by
+    whole periods, the board's boxes of the period, the boxes swept by
+    ships retired and back in it, and the hulls of the ships still off,
+    drifting at their own velocities, to keep 3 from every retired ship's
+    hull.  A board that keeps growing still steps every generation.
 
     A board too wide for the packed fields, or at the signed 64-bit
     edge, raises CoordinateOverflowError at the generation it gets there.
@@ -405,10 +432,11 @@ def detect_emissions(
     # Live tracks keyed by the sighting each should make next.
     tracks: dict[tuple[bytes, Cell], _Track] = {}
     # Ships off the board, keyed like tracks; while there are any, the
-    # board's box of each generation; the last generation one came back.
+    # board's box of each generation; the ships put back since the last
+    # save, and when.
     retired: dict[tuple[bytes, Cell], _Retired] = {}
     boxes: list[tuple[int, Box | None]] = []
-    back_at = -1
+    backs: list[tuple[_Retired, int]] = []
     # Brent's cycle search: one saved census state, replaced whenever
     # the generations since it was saved reach a power of two.
     saved_at, power, saved_population = 0, 1, board.population
@@ -420,20 +448,15 @@ def detect_emissions(
             for key in list(retired):
                 if _gap(_box(key[1], phases[key[0]].extent), box) < _APART:
                     board.put(*key)
-                    del retired[key]
+                    backs.append((retired.pop(key), generation))
                     tracks[key] = _Track(generation, key[1], None, confirmed=True)
-                    back_at = generation
             retired = {_next(phases[s], a): ship for (s, a), ship in retired.items()}
         if generation > saved_at and board.population == saved_population:
             state, corner = _census_state(board, tracks, generation)
             period = generation - saved_at
             mx, my = corner[0] - saved_corner[0], corner[1] - saved_corner[1]
-            if (
-                state == saved
-                and back_at < saved_at
-                and _replay_keeps_apart(
-                    retired.values(), boxes, saved_at, period, (mx, my)
-                )
+            if state == saved and _replay_keeps_apart(
+                retired.values(), boxes, backs, saved_at, period, (mx, my)
             ):
                 cycle = [(t, e) for t, e in confirmed if t >= saved_at]
                 for k in range(1, (horizon - saved_at) // period + 1 if cycle else 1):
@@ -447,6 +470,7 @@ def detect_emissions(
             saved, saved_corner = _census_state(board, tracks, generation)
             saved_at, power, saved_population = generation, 2 * power, board.population
             boxes = [(t, box) for t, box in boxes if t >= generation]
+            backs = [(o, t) for o, t in backs if t >= generation]
         matched, body = board.bodies(table)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():

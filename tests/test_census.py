@@ -9,6 +9,7 @@ its retirement of escaped ships against the same census with
 retirement patched off.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -55,6 +56,32 @@ def scenes(draw):
     shift = st.integers(-(2**40), 2**40)
     sx, sy = draw(shift), draw(shift)
     return Pattern(frozenset((x + sx, y + sy) for x, y in cells))
+
+
+GUN = catalog_pattern("gosper_gun").cells
+
+# Beside the stream of the gun as the catalog lays it out.
+BESIDE = [frozenset(), frozenset({(20, 14), (21, 14), (22, 14)})]
+BESIDE += [frozenset({(22, 13), (23, 13), (22, 14), (23, 14)})]
+
+
+@st.composite
+def gun_scenes(draw):
+    """Two or three guns, each turned and up to 80 cells from the first.
+
+    So their streams may run apart, side by side or across each other;
+    the first gun may have a blinker or block beside its stream, nudged
+    by up to 2 cells.
+    """
+    near, offset = st.integers(-2, 2), st.integers(-80, 80)
+    extra, nx, ny = draw(st.sampled_from(BESIDE)), draw(near), draw(near)
+    piece, cells = GUN | {(x + nx, y + ny) for x, y in extra}, set()
+    for i in range(draw(st.integers(2, 3))):
+        a, b, c, d = draw(st.sampled_from(_ORIENTATIONS))
+        dx, dy = (draw(offset), draw(offset)) if i else (0, 0)
+        cells |= {(a * x + b * y + dx, c * x + d * y + dy) for x, y in piece}
+        piece = GUN
+    return Pattern(frozenset(cells))
 
 
 class TestCensusAgainstReference:
@@ -177,7 +204,7 @@ def spied(p, horizon, ships):
 
     def replay(*args):
         exact = check(*args)
-        refused.extend([args[2]] * (not exact))
+        refused.extend([args[3]] * (not exact))
         return exact
 
     with take as taken, put as returned:
@@ -196,6 +223,17 @@ class TestRetirement:
         assert events == unretired(scene, horizon, ships)
         if horizon <= 60:
             assert events == census_reference.detect_emissions(scene, horizon, ships)
+
+    @given(gun_scenes(), st.integers(300, 400), st.integers(60, 120))
+    @settings(max_examples=25, deadline=None)
+    def test_gun_scenes(self, ships, scene, horizon, short):
+        # Ships retire at up to eight velocities, and some come back.
+        assert detect_emissions(scene, horizon, ships) == (
+            unjumped(scene, horizon, ships)
+        )
+        assert detect_emissions(scene, short, ships) == (
+            census_reference.detect_emissions(scene, short, ships)
+        )
 
     def test_gun_settles_once_its_gliders_retire(self, ships):
         # Each glider leaves the board once 3 cells clear of the gun, so
@@ -236,18 +274,30 @@ class TestRetirement:
     def test_a_blinker_beside_the_stream_brings_each_glider_back(self, ships):
         # The blinker's box swings by a cell every generation, so each
         # glider retired 3 cells clear of it comes back for a generation.
-        # No replay may span a generation a ship came back in (it did not
-        # evolve alone over the whole period), so this census steps on.
+        # A ship retired and put back inside a period does so again in
+        # every later one, so the census replays.  The saves at 63 are
+        # refused, as no ship was off the board at 64 and its box is
+        # missing; the state saved at 127 is seen again at 157.
         blinker = {(20, 14), (21, 14), (22, 14)}
         scene = Pattern(catalog_pattern("gosper_gun").cells | blinker)
         events, taken, returned, refused = spied(scene, 200, ships)
-        assert (taken, returned, refused) == (15, 10, [])
-        assert splits(scene, 200, ships) == (events, 201)
+        assert (taken, returned, refused) == (12, 8, [63, 63])
+        assert splits(scene, 200, ships) == (events, 157)
         assert [e.birth_generation for e in events] == [35, 65, 95, 125, 155]
         assert events == unretired(scene, 200, ships)
-        assert detect_emissions(scene, 100, ships) == (
-            census_reference.detect_emissions(scene, 100, ships)
-        )
+        assert events == unjumped(scene, 200, ships)
+        assert events == census_reference.detect_emissions(scene, 200, ships)
+
+    def test_two_guns_firing_apart(self, ships):
+        # The gun and its mirror 60 cells to the left retire gliders at
+        # two velocities from generation 90; each later copy only draws
+        # away from those retired before it, so the state saved at 127
+        # replays from 157.
+        guns = Pattern(GUN | frozenset((-x - 60, y) for x, y in GUN))
+        events, split = splits(guns, 400, ships)
+        assert (len(events), split) == (26, 157)
+        assert events == unjumped(guns, 400, ships)
+        assert splits(guns, 8000, ships)[1] == 157
 
     def test_guns_and_battery_with_nothing_to_retire(self, ships):
         # The mirrored guns' gliders stay inside the box of the two guns
@@ -265,11 +315,37 @@ class TestRetirement:
             assert splits(scene, horizon, ships) == (events, split)
 
 
+def replays(retired, backs=(), move=(0, 0), boxes=None):
+    """Whether a replay of period 30 from generation 10 keeps apart.
+
+    The board is empty through the period unless boxes are given.
+    """
+    boxes = [(t, None) for t in range(10, 40)] if boxes is None else boxes
+    return detector._replay_keeps_apart(retired, boxes, list(backs), 10, 30, move)
+
+
+def closest_copy(ship, other, period, move, copies=4, span=300):
+    """The least gap, in cells, from ship to copies 1..copies of other.
+
+    Each copy is taken over the span generations from its retirement,
+    period and move later than the one before, by brute force.
+    """
+    s, least = ship.scale, None
+    for k, tau in itertools.product(range(1, copies + 1), range(span)):
+        t = other.generation + k * period + tau
+        copy = detector._shifted(other.hull, other.velocity, t - k * period)
+        copy = detector._shifted(copy, move, k * s)
+        gap = detector._gap(copy, detector._shifted(ship.hull, ship.velocity, t))
+        least = gap if least is None else min(least, gap)
+    return least / s
+
+
 class TestRetirementRules:
     """The hull gaps that keep retired ships apart, on hand-placed gliders.
 
-    A glider moving by (dx, dy) each period of 4 is retired at generation
-    0 with its box corner at corner.
+    A glider moving by (dx, dy) each period of 4, or an LWSS for a move
+    of 2 along an axis, is retired at generation 0 with its box corner at
+    corner.
     """
 
     @pytest.fixture()
@@ -298,14 +374,55 @@ class TestRetirementRules:
         # one retired at 10 a period or two ahead of it has a copy that
         # runs into it.
         older = glider((0, 0), 1, 1)
-        empty = [(t, None) for t in range(10, 40)]
         for corner, exact in [((-5, -5), True), ((10, 10), False), ((18, 18), False)]:
             newer = glider(corner, 1, 1, generation=10)
-            replay = detector._replay_keeps_apart([older, newer], empty, 10, 30, (0, 0))
-            assert replay is exact
-        # A ship retired in the period at another velocity refuses the replay.
+            assert replays([older, newer]) is exact
+        # A ship retired in the period at another velocity whose copies
+        # only draw away replays.
         aside = glider((-60, 60), -1, 1, generation=10)
-        assert not detector._replay_keeps_apart([older, aside], empty, 10, 30, (0, 0))
+        assert replays([older, aside])
+        assert closest_copy(older, aside, 30, (0, 0)) >= 3
         # So do boxes missing for a generation of the period.
-        assert not detector._replay_keeps_apart([older], empty[1:], 10, 30, (0, 0))
-        assert detector._replay_keeps_apart([older], empty, 10, 30, (0, 0))
+        assert not replays([older], boxes=[(t, None) for t in range(11, 40)])
+        assert replays([older])
+
+    def test_a_ship_at_another_velocity_needs_a_side_that_widens(self, glider):
+        # In the older glider's frame, each copy of a ship retired in the
+        # period lands w further on than the one before, and then drifts
+        # by u, the velocity difference, from the generation it retires.
+        older = glider((0, 0), 1, 1)
+        # Shrinks along u: on a board moving 15 cells right a period, as
+        # a c/2 rake does, the copies of a glider flying (-1, 1) start 6
+        # cells to the right of the older one, and each lands 7.5 cells
+        # further right, but each then drifts back half a cell a
+        # generation, and crosses it.
+        crossing = glider((4, 12), -1, 1, generation=10)
+        # Shrinks along w: on a still board, the copies of a glider
+        # flying (1, -1) start 7.75 cells to its right and keep that
+        # while they drift, but each lands 7.5 cells further left.
+        behind = glider((20, 14), 1, -1, generation=10)
+        for ship, move in [(crossing, (15, 0)), (behind, (0, 0))]:
+            assert detector._keeps_apart(ship, [older], 10)
+            assert not replays([older, ship], move=move)
+            assert closest_copy(older, ship, 30, move) < 3
+
+    def test_ships_put_back_in_the_period(self, glider):
+        older = glider((0, 0), 1, 1)
+        # A ship retired before the period and back in it refuses; one
+        # back at the generation saved came back before that state.
+        early = glider((-30, -30), 1, 1, generation=5)
+        assert not replays([older], [(early, 20)])
+        assert replays([older], [(early, 10)])
+        # A ship retired and back in the period does the same in every
+        # later one, so the box it sweeps meanwhile moves on by whole
+        # periods as the board's boxes do.
+        for corner, exact in [((-5, -5), True), ((10, 10), False)]:
+            newer = glider(corner, 1, 1, generation=12)
+            assert replays([older], [(newer, 25)]) is exact
+        # At another velocity the sweep runs from where the ship retired
+        # to where it came back.  On a board moving 15 cells a period
+        # along y, each copy of an LWSS flying (2, 0) from 12 to 38 is
+        # clear of the older glider at both ends, but not on the way.
+        lwss = glider((0, -4), 2, 0, generation=12)
+        assert not replays([older], [(lwss, 38)], move=(0, 15))
+        assert closest_copy(older, lwss, 30, (0, 15), span=27) < 3

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from lifeframes.catalog import entry, gun_battery
+from lifeframes.catalog import catalog_pattern, entry, gun_battery
 from lifeframes.cli import EXPLOSION_FACTOR_ENV, main
+from lifeframes.engine import Pattern
 from lifeframes.patterns import PatternDocument, emit_rle
 
 FILES = {
@@ -44,8 +45,16 @@ def _write_files(directory: Path) -> None:
         (directory / name).write_text(text, encoding="ascii")
     for name in ("gosper_gun", "lwss"):
         (directory / f"{name}.rle").write_text(entry(name).rle, encoding="ascii")
-    battery = emit_rle(PatternDocument.from_pattern(gun_battery(23)))
-    (directory / "battery.rle").write_text(battery, encoding="ascii")
+    gun = catalog_pattern("gosper_gun").cells
+    for name, cells in [
+        ("battery.rle", gun_battery(23).cells),
+        # The gun and its mirror 60 cells to the left, firing apart.
+        ("guns.rle", gun | {(-x - 60, y) for x, y in gun}),
+        # A blinker beside the gun's stream, which brings each glider back.
+        ("gun-blinker.rle", gun | {(20, 14), (21, 14), (22, 14)}),
+    ]:
+        rle = emit_rle(PatternDocument.from_pattern(Pattern(frozenset(cells))))
+        (directory / name).write_text(rle, encoding="ascii")
 
 
 def _both(name, *argv, env=None):
@@ -133,6 +142,9 @@ CASES = [
     *_both("emissions-block", "emissions", "block.rle", "--horizon", "10"),
     ("emissions-battery-machine",
      ["emissions", "battery.rle", "--horizon", "100", "--format", "machine"], None),
+    *_both("emissions-guns-2000", "emissions", "guns.rle", "--horizon", "2000"),
+    *_both("emissions-gun-blinker-300", "emissions", "gun-blinker.rle",
+           "--horizon", "300"),
     *_both("emissions-env-much", "emissions", "glider.rle", "--horizon", "20",
            env="much"),
     *_both("emissions-wide", "emissions", "wide.rle", "--horizon", "4"),
@@ -150,6 +162,9 @@ REJECTIONS = [
     ("reject-decimal-v1", ["compose", "--v1", "0.5", "--v2x", "1/2"]),
     ("reject-zero-denominator", ["compose", "--v1", "1/0", "--v2x", "1/2"]),
     ("reject-missing-v1", ["compose", "--v2x", "1/2"]),
+    # A negative value after a space reads as an option; "--v2y=-1/3" works.
+    ("reject-negative-after-space", ["compose", "--v1", "1/4", "--v2x", "0",
+                                     "--v2y", "-1/3"]),
     ("reject-format", ["catalog", "--format", "xml"]),
     ("reject-suite", ["verify", "--suite", "everything"]),
     ("reject-law", ["compose", "--law", "newton", "--v1", "0", "--v2x", "0"]),
@@ -267,6 +282,10 @@ REFERENCE = {
     "emissions-block-table": "6b9b2206be274fef",
     "emissions-block-machine": "6b7583c267ee86ec",
     "emissions-battery-machine": "6b7583c267ee86ec",
+    "emissions-guns-2000-table": "3df3e19fa9656d9f",
+    "emissions-guns-2000-machine": "24f8b2ec8556603b",
+    "emissions-gun-blinker-300-table": "65f630d3a8223715",
+    "emissions-gun-blinker-300-machine": "d9b07b010038e946",
     "emissions-env-much-table": "273c50ae6cd4bbe8",
     "emissions-env-much-machine": "a8cd3b26f4b11458",
     "emissions-wide-table": "ff92c7ae5a528a94",
@@ -283,6 +302,7 @@ REFERENCE = {
     "reject-decimal-v1": "89b672f84ffa6f19",
     "reject-zero-denominator": "610ffae2f91e59cd",
     "reject-missing-v1": "a8ca651ff9b6001f",
+    "reject-negative-after-space": "a5b69676e8850a1b",
     "reject-format": "5b818d4f7abac05f",
     "reject-suite": "3a98c28f4fa930fb",
     "reject-law": "e5e945622a8f1f39",
