@@ -265,34 +265,26 @@ def _alone(key: tuple[bytes, Cell], matched: dict, body: Box | None) -> bool:
     return _gap(ship, rest) >= _APART
 
 
-def _apart_for_good(a: Box, b: Box, w: Cell, k: int, apart: int) -> bool:
-    """Whether a + j·w is at least apart from b for every j >= k.
+def _widens(a: Box, b: Box, w: Cell, u: Cell, apart: int) -> bool:
+    """Whether a + k·w + τ·u is at least apart from b for every k >= 1, τ >= 0.
 
-    The gap is convex in j, so at least apart at k and no smaller at
-    k + 1 suffices.
+    The census's one separation test.  Each side's separation is affine
+    in k and τ, so one that is at least apart at k = 1, τ = 0 and shrinks
+    along neither w nor u stays so: a separating axis that only widens.
     """
-    now, then = (_gap(_shifted(a, w, j), b) for j in (k, k + 1))
-    return now >= apart and then >= now
+    x0, y0, x1, y1 = _shifted(a, w, 1)
+    sides = (x0 - b[2], 1, 0), (b[0] - x1, -1, 0), (y0 - b[3], 1, 1), (b[1] - y1, -1, 1)
+    return any(g >= apart and min(d * w[i], d * u[i]) >= 0 for g, d, i in sides)
 
 
 def _keeps_apart(ship: _Retired, retired, generation: int) -> bool:
     """Whether ship, retiring at generation, stays _APART from every retired ship."""
     for o in retired:
-        w = ship.velocity[0] - o.velocity[0], ship.velocity[1] - o.velocity[1]
-        if not _apart_for_good(ship.hull, o.hull, w, generation, _APART * ship.scale):
+        u = ship.velocity[0] - o.velocity[0], ship.velocity[1] - o.velocity[1]
+        hull = _shifted(ship.hull, u, generation)
+        if not _widens(hull, o.hull, (0, 0), u, _APART * ship.scale):
             return False
     return True
-
-
-def _widens(a: Box, b: Box, w: Cell, u: Cell, apart: int) -> bool:
-    """Whether a + k·w + τ·u is at least apart from b for every k >= 1, τ >= 0.
-
-    Each side's separation is affine in k and τ, so one that is at least
-    apart at k = 1, τ = 0 and shrinks along neither w nor u suffices.
-    """
-    x0, y0, x1, y1 = _shifted(a, w, 1)
-    sides = (x0 - b[2], 1, 0), (b[0] - x1, -1, 0), (y0 - b[3], 1, 1), (b[1] - y1, -1, 1)
-    return any(g >= apart and min(d * w[i], d * u[i]) >= 0 for g, d, i in sides)
 
 
 def _replay_keeps_apart(
@@ -305,9 +297,9 @@ def _replay_keeps_apart(
     since saved_at and when; one retired before the period and back in
     it refuses.  In a retired ship's frame, each later period moves on by
     w = move − period·v the board's boxes, the box each ship retired and
-    back in the period swept, and the hull of each still off; one at
-    another velocity also drifts by u, the velocity difference, after
-    each copy retires, so it needs a side that widens along both.
+    back in the period swept, and the hull of each still off, which also
+    drifts by u, the velocity difference, after each copy retires; each
+    needs a side that widens along both.
     """
     boxes = [(t, box) for t, box in boxes if saved_at <= t < saved_at + period]
     cycle = [(o, None) for o in retired if o.generation >= saved_at]
@@ -319,20 +311,18 @@ def _replay_keeps_apart(
         (vx, vy), s = ship.velocity, ship.scale
         w = move[0] * s - period * vx, move[1] * s - period * vy
         hulls = [
-            _shifted(tuple(c * s for c in box), ship.velocity, -t)
+            (_shifted(tuple(c * s for c in box), ship.velocity, -t), (0, 0))
             for t, box in boxes
             if box is not None
         ]
         for o, back in cycle:
             u = o.velocity[0] - vx, o.velocity[1] - vy
             hull = _shifted(o.hull, u, o.generation)
-            if back is not None:
-                hulls.append(_union(hull, _shifted(o.hull, u, back)))
-            elif u == (0, 0):
-                hulls.append(hull)
-            elif not _widens(hull, ship.hull, w, u, _APART * s):
-                return False
-        if not all(_apart_for_good(h, ship.hull, w, 1, _APART * s) for h in hulls):
+            if back is None:
+                hulls.append((hull, u))
+            else:
+                hulls.append((_union(hull, _shifted(o.hull, u, back)), (0, 0)))
+        if not all(_widens(h, ship.hull, w, u, _APART * s) for h, u in hulls):
             return False
     return True
 
@@ -384,17 +374,17 @@ def detect_emissions(
 
     Escaped ships leave the board, so the gun's census repeats too (as
     the 23-gun battery's: period 30, seen at 93).  Cells 3 apart share
-    no neighbour, and ship hulls move linearly, so gaps between them are
-    convex in time.  So it is exact: a confirmed ship whose box is 3
-    clear of all other bodies' box, and whose hull gap to every retired
-    ship is 3 or more and not shrinking, is taken off and evolves alone;
-    before each split, one within 2 of the board's box goes back with
-    its confirmed track, which can change no output meanwhile.  A replay
-    needs no ship retired before the period back in it, and, moved on by
-    whole periods, the board's boxes of the period, the boxes swept by
-    ships retired and back in it, and the hulls of the ships still off,
-    drifting at their own velocities, to keep 3 from every retired ship's
-    hull.  A board that keeps growing still steps every generation.
+    no neighbour, and ship hulls move linearly, so two boxes with a side
+    3 apart that never shrinks stay apart.  So it is exact: a confirmed
+    ship 3 clear of all other bodies' box, with such a side to every
+    retired ship's hull, is taken off and evolves alone; before each
+    split, one within 2 of the board's box goes back with its confirmed
+    track, which can change no output meanwhile.  A replay needs no ship
+    retired before the period back in it, and such a side from every
+    retired ship's hull to the board's boxes of the period, the boxes
+    swept by ships retired and back in it, and the hulls of the ships
+    still off, moved on by whole periods and drifting at their own
+    velocities.  A board that keeps growing still steps every generation.
 
     A board too wide for the packed fields, or at the signed 64-bit
     edge, raises CoordinateOverflowError at the generation it gets there.
@@ -410,21 +400,13 @@ def detect_emissions(
         )
     board = Board(p)
 
-    # Per phase size, the phases of that many cells keyed by shape.
-    table: dict[int, dict[bytes, _PhaseEntry]] = {}
+    # Every ship phase keyed by shape.
+    phases: dict[bytes, _PhaseEntry] = {}
     for report in ships:
-        for phase, (shape, entry) in zip(report.phases, _phase_entries(report)):
-            by_shape = table.setdefault(len(phase), {})
-            known = by_shape.get(shape)
-            if known is None:
-                by_shape[shape] = entry
-            elif (
-                known.report.period != entry.report.period
-                or known.report.displacement != entry.report.displacement
-            ):
+        for shape, entry in _phase_entries(report):
+            old = phases.setdefault(shape, entry).report
+            if (old.period, old.displacement) != (report.period, report.displacement):
                 raise ValueError("two catalog ships share a phase shape")
-
-    phases = {shape: e for by_shape in table.values() for shape, e in by_shape.items()}
     scale = math.lcm(*(r.period for r in ships))
 
     # Each event with the generation that confirmed it.
@@ -471,7 +453,7 @@ def detect_emissions(
             saved_at, power, saved_population = generation, 2 * power, board.population
             boxes = [(t, box) for t, box in boxes if t >= generation]
             backs = [(o, t) for o, t in backs if t >= generation]
-        matched, body = board.bodies(table)
+        matched, body = board.bodies(phases)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():
             track = tracks.get((shape, anchor))

@@ -445,16 +445,16 @@ class Board:
         self._room = min(self._room, _room(body, self._origin))
 
     def bodies(
-        self, table: Mapping[int, Mapping[bytes, V]]
+        self, table: Mapping[bytes, V]
     ) -> tuple[dict[tuple[bytes, Cell], V], Box | None]:
         """Split the board into bodies and look them up by shape.
 
         Bodies are the cells joined within Chebyshev distance
-        MERGE_RADIUS.  table maps a population to {shape: value}, with
-        shapes as ``shape()`` makes them; only bodies of a listed size
-        are looked up, one batch per size.  Returns the values of the
-        matched bodies keyed by (shape, box corner), and the union box
-        of all other bodies (None when there are none).
+        MERGE_RADIUS.  table maps shapes, as ``shape()`` makes them, to
+        values; a shape holds 8 bytes a cell, so the bodies of each listed
+        size are looked up in one batch.  Returns the values of the
+        matched bodies keyed by (shape, box corner), and the union box of
+        all other bodies (None when there are none).
         """
         matched: dict[tuple[bytes, Cell], V] = {}
         if self._keys.size == 0:
@@ -480,7 +480,7 @@ class Board:
         max_y = np.maximum.reduceat(ys, starts)
         ox, oy = self._origin
         is_body = np.ones(starts.size, dtype=bool)
-        for size, by_shape in table.items():
+        for size in {len(shape) // 8 for shape in table}:
             picked = np.flatnonzero(sizes == size)
             if picked.size == 0:
                 continue
@@ -490,7 +490,7 @@ class Board:
             for i, shape, x, y in zip(
                 picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
             ):
-                value = by_shape.get(shape)
+                value = table.get(shape)
                 if value is not None:
                     matched[(shape, (x + ox, y + oy))] = value
                     is_body[i] = False

@@ -214,9 +214,7 @@ def exhaustive_check(max_total_moves: int) -> OracleReport:
     which is exact because P > 0 and L.denominator > 0; a law returning a
     plain int works too.
     """
-    if isinstance(max_total_moves, bool) or not isinstance(max_total_moves, int):
-        kind = type(max_total_moves).__name__
-        raise TypeError(f"max_total_moves must be an int, not {kind}")
+    max_total_moves = _checked_count(max_total_moves, "max_total_moves")
     if max_total_moves < 1:
         raise ScheduleError("need at least one move")
     unit = [[Fraction(0)]] + [

@@ -127,14 +127,14 @@ class TestBodies:
         cells = {(x + gx, y + gy) for gx, gy in glider.cells} | block | loose
         board = Board(Pattern(frozenset(cells)))
         shape, _ = Board(glider).shape()
-        matched, union = board.bodies({5: {shape: "glider"}})
+        matched, union = board.bodies({shape: "glider"})
         assert matched == {(shape, (x, y)): "glider"}
         assert union == (x - 30, y + 5, x + 11, y + 21)
 
     def test_nothing_unmatched_gives_no_union_box(self):
         glider = catalog_pattern("glider")
         shape, _ = Board(glider).shape()
-        matched, union = Board(glider).bodies({5: {shape: 1}})
+        matched, union = Board(glider).bodies({shape: 1})
         assert matched == {(shape, (0, 0)): 1} and union is None
         assert Board(Pattern(frozenset())).bodies({}) == ({}, None)
 
@@ -150,7 +150,7 @@ class TestTakeAndPut:
         board = Board(Pattern(cells))
         board.step(4)
         shape, _ = Board(glider).shape()
-        matched, union = board.bodies({5: {shape: "glider"}})
+        matched, union = board.bodies({shape: "glider"})
         [(shape, corner)] = matched
         return board, shape, corner, block, union
 
@@ -470,7 +470,7 @@ class TestSortReuse:
         board = Board(Pattern(cells))
         if action == "put":
             board.take(shape, corner)
-        matched, _ = board.bodies({5: {shape: "glider"}})
+        matched, _ = board.bodies({shape: "glider"})
         assert ((shape, corner) in matched) == (action != "put")
         if action == "take":
             board.take(shape, corner)
@@ -552,7 +552,7 @@ class TestWindow:
         board = Board(p)
         assert (board.pattern(), board.box()) == (p, bounding_box(p))
         shape, box = Board(Pattern(glider)).shape()
-        matched, rest = board.bodies({5: {shape: "glider"}})
+        matched, rest = board.bodies({shape: "glider"})
         assert matched == {(shape, box[:2]): "glider"}
         assert rest == bounding_box(Pattern(p.cells - glider))
         board.step(k)

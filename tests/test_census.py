@@ -299,6 +299,20 @@ class TestRetirement:
         assert events == unjumped(guns, 400, ships)
         assert splits(guns, 8000, ships)[1] == 157
 
+    def test_two_guns_side_by_side(self, ships):
+        # The gun and a copy 62 cells to the left and 26 down fire
+        # parallel streams.  Each later copy of a glider slides back
+        # along its stream, so its gap to a glider of the other stream
+        # shrinks at first, but one side of it is well over 3 and only
+        # widens: the state saved at 63 replays from 93, as the gun's
+        # alone does.
+        guns = Pattern(GUN | frozenset((x - 62, y + 26) for x, y in GUN))
+        for horizon in (400, 2000, 8000):
+            assert splits(guns, horizon, ships)[1] == 93, horizon
+        events = detect_emissions(guns, 2000, ships)
+        assert len(events) == 130
+        assert events == unjumped(guns, 2000, ships)
+
     def test_guns_and_battery_with_nothing_to_retire(self, ships):
         # The mirrored guns' gliders stay inside the box of the two guns
         # until they meet, and the battery's gliders never escape, so no
@@ -322,6 +336,12 @@ def replays(retired, backs=(), move=(0, 0), boxes=None):
     """
     boxes = [(t, None) for t in range(10, 40)] if boxes is None else boxes
     return detector._replay_keeps_apart(retired, boxes, list(backs), 10, 30, move)
+
+
+def gap_at(ship, other, t):
+    """The gap, in cells, between the hulls of two retired ships at generation t."""
+    a = detector._shifted(ship.hull, ship.velocity, t)
+    return detector._gap(a, detector._shifted(other.hull, other.velocity, t)) / ship.scale
 
 
 def closest_copy(ship, other, period, move, copies=4, span=300):
@@ -366,6 +386,25 @@ class TestRetirementRules:
         # Same velocity, too close; then head-on 20 apart, still 3 clear now.
         assert not detector._keeps_apart(glider((-4, -4), 1, 1), [ahead], 0)
         assert not detector._keeps_apart(glider((20, 20), -1, -1), [ahead], 0)
+
+    def test_a_side_that_widens_is_all_a_retirement_needs(self, glider):
+        # In the older glider's frame a glider flying (-1, 1) drifts by
+        # (-1/2, 1/2) cells a generation.  This one starts 4.5 cells to
+        # its right and 3 below: the gap, set by the side to the right,
+        # shrinks, but the side below is 3 already and only widens.
+        older = glider((0, 0), 1, -1)
+        below = glider((8, 6), -1, 1)
+        assert [gap_at(older, below, t) for t in (0, 1)] == [4.5, 4.0]
+        assert detector._keeps_apart(below, [older], 0)
+        assert min(gap_at(older, below, t) for t in range(300)) == 4
+        # The trade: this one, retiring at 10, starts 3 to the right and
+        # 2.5 below, so no side is 3 and widens, and it stays on the
+        # board, though the side below reaches 3 a generation later and
+        # it never comes within 3.  Such a refusal costs only splits.
+        close = glider((9, 3), -1, 1, generation=10)
+        assert [gap_at(older, close, t) for t in (10, 11)] == [3, 3]
+        assert not detector._keeps_apart(close, [older], 10)
+        assert min(gap_at(older, close, t) for t in range(10, 310)) == 3
 
     def test_replay_follows_the_copies_of_the_ships_retired_in_it(self, glider):
         # Period 30 from generation 10, move 0, like a gun: each copy of a

@@ -52,6 +52,9 @@ def _write_files(directory: Path) -> None:
         ("guns.rle", gun | {(-x - 60, y) for x, y in gun}),
         # A blinker beside the gun's stream, which brings each glider back.
         ("gun-blinker.rle", gun | {(20, 14), (21, 14), (22, 14)}),
+        # The gun and a copy 62 cells to the left and 26 down, firing side
+        # by side.
+        ("side-by-side.rle", gun | {(x - 62, y + 26) for x, y in gun}),
     ]:
         rle = emit_rle(PatternDocument.from_pattern(Pattern(frozenset(cells))))
         (directory / name).write_text(rle, encoding="ascii")
@@ -145,6 +148,8 @@ CASES = [
     *_both("emissions-guns-2000", "emissions", "guns.rle", "--horizon", "2000"),
     *_both("emissions-gun-blinker-300", "emissions", "gun-blinker.rle",
            "--horizon", "300"),
+    *_both("emissions-side-by-side-2000", "emissions", "side-by-side.rle",
+           "--horizon", "2000"),
     *_both("emissions-env-much", "emissions", "glider.rle", "--horizon", "20",
            env="much"),
     *_both("emissions-wide", "emissions", "wide.rle", "--horizon", "4"),
@@ -286,6 +291,8 @@ REFERENCE = {
     "emissions-guns-2000-machine": "24f8b2ec8556603b",
     "emissions-gun-blinker-300-table": "65f630d3a8223715",
     "emissions-gun-blinker-300-machine": "d9b07b010038e946",
+    "emissions-side-by-side-2000-table": "b89e9e8a62f91eba",
+    "emissions-side-by-side-2000-machine": "00fbd80279c24351",
     "emissions-env-much-table": "273c50ae6cd4bbe8",
     "emissions-env-much-machine": "a8cd3b26f4b11458",
     "emissions-wide-table": "ff92c7ae5a528a94",

@@ -234,6 +234,12 @@ class TestExhaustive:
         with pytest.raises(TypeError, match="max_total_moves must be an int"):
             exhaustive_check(bound)
 
+    def test_numpy_integer_bound_becomes_an_int(self):
+        np = pytest.importorskip("numpy")
+        report = exhaustive_check(np.int64(10))
+        assert report == exhaustive_check(10)
+        assert type(report.max_total_moves) is int
+
     @pytest.mark.parametrize("bound", [*range(1, 31), 48])
     def test_matches_the_reference_oracle(self, bound):
         report = exhaustive_check(bound)
