@@ -8,11 +8,11 @@ pack each cell's coordinates in two 31-bit fields centred on the box,
 advanced in place by one sort of their neighbor keys per generation.
 The box grows by at most a cell a side per generation, so the board
 counts the free cells to the nearer of the fields' and the 64-bit edge,
-and re-centres the fields once they are used up.  No caller gives a run
-length: every guard fires at the generation iterating ``step`` would.
-Only ``step_n`` falls back to ``step``, for a board too wide for the
-fields.  A board that recurs, in place or moved, jumps exactly over the
-whole periods left of a run, as far as the 64-bit edge lets it.
+and re-centres the fields once they are used up.  It refuses the 64-bit
+edge on its own box, at the generation iterating ``step`` would, so
+only ``step_n``'s fallback, for a board too wide for the fields, runs
+``step``.  A board that recurs, in place or moved, jumps exactly over
+the whole periods left of a run, as far as the 64-bit edge lets it.
 The board also splits itself into bodies for the census from the same
 sort, looks them up by shape, and takes them off or puts them back, so
 the key format stays in this module.
@@ -152,24 +152,23 @@ def _evolve_py(cells: frozenset[Cell]) -> frozenset[Cell]:
     )
 
 
-def _check_headroom(p: Pattern) -> None:
-    """Refuse to step a pattern whose box touches the 64-bit range's edge.
+def _check_headroom(box: Box, generation: int) -> None:
+    """Refuse to step a board at generation whose box touches the 64-bit edge.
 
     One generation moves the bounding box by at most one cell in each
     direction (nothing outruns a chess king), so the next one is in
     range when this one is a cell clear of the edge.
     """
-    box = bounding_box(p) if p.cells else (0, 0, 0, 0)
     if min(box) <= COORD_MIN or max(box) >= COORD_MAX:
         raise CoordinateOverflowError(
-            f"box {box} at generation {p.generation} reaches the edge of the "
+            f"box {box} at generation {generation} reaches the edge of the "
             f"signed 64-bit coordinate range"
         )
 
 
 def step(p: Pattern) -> Pattern:
     """The next generation under B3/S23."""
-    _check_headroom(p)
+    _check_headroom(bounding_box(p) if p.cells else (0, 0, 0, 0), p.generation)
     return Pattern(_evolve_py(p.cells), p.generation + 1)
 
 
@@ -240,16 +239,16 @@ def _evolve_np(keys: np.ndarray, neighbors: np.ndarray | None = None) -> np.ndar
     return cells[keep]
 
 
-def _component_labels(keys: np.ndarray, sort: tuple | None = None) -> np.ndarray:
+def _component_labels(keys: np.ndarray, sort: tuple) -> np.ndarray:
     """Label each sorted key with the first index of its body.
 
     Distinct cells share a neighbor cell exactly when their Chebyshev
-    distance is 1 or 2, the merge radius, so each run of
-    ``_neighbor_sort(keys)`` (sort, if given) joins its cells.  Roots are
+    distance is 1 or 2, the merge radius, so each run of sort, that is
+    ``_neighbor_sort(keys)``, joins its cells.  Roots are
     hooked to smaller joined roots and pointer jumping flattens the trees
     until no joined pair differs; a body's smallest index is never hooked.
     """
-    neighbors, order = _neighbor_sort(keys) if sort is None else sort
+    neighbors, order = sort
     labels = np.arange(keys.size)
     source = np.tile(labels, 8)[order]
     joined = np.flatnonzero(neighbors[1:] == neighbors[:-1])
@@ -264,13 +263,19 @@ def _component_labels(keys: np.ndarray, sort: tuple | None = None) -> np.ndarray
     return labels
 
 
+def _extent(keys: np.ndarray) -> Box:
+    """(min_x, min_y, max_x, max_y) of non-empty sorted keys, in field cells."""
+    # Keys sort x-major, so the first and last keys hold the x range.
+    x0, x1 = int(keys[0] >> _FIELD_BITS), int(keys[-1] >> _FIELD_BITS)
+    ys = keys & (_FIELD - 1)
+    return x0, int(ys.min()), x1, int(ys.max())
+
+
 def _shift(old: np.ndarray, new: np.ndarray) -> Cell | None:
     """The move in cells taking sorted keys old onto new, or None."""
     # Relative to the box corner, as in ``Board.shape``: relative to the
     # first key, keys could alias across the y field.
-    (ax, ay), (bx, by) = (
-        (int(k[0] >> _FIELD_BITS), int((k & (_FIELD - 1)).min())) for k in (old, new)
-    )
+    (ax, ay, _, _), (bx, by, _, _) = _extent(old), _extent(new)
     same = np.array_equal(old - (ax * _FIELD + ay), new - (bx * _FIELD + by))
     return (bx - ax, by - ay) if same else None
 
@@ -307,8 +312,8 @@ def _check_growth(
 class Board:
     """A board held as sorted packed keys and stepped in place.
 
-    Given no run length, it raises CoordinateOverflowError where ``step``
-    would, or where its box leaves the packed fields no free cell a side
+    It raises CoordinateOverflowError where ``step`` would, judged on its
+    own box, or where its box leaves the packed fields no free cell a side
     (also when built).  With a population_factor (finite and above 0,
     else ValueError), each step raises ExplosiveGrowthError above that
     factor x the start count.
@@ -357,10 +362,9 @@ class Board:
         # Take, put and re-centring replace the keys, so a stale sort is unused.
         neighbors = self._sorted[1] if self._sorted[0] is self._keys else None
         while self.generation < end and self._keys.size:
-            if self._room < 1:
-                self._centre(self.box())
-                if self._room < 1:  # at the 64-bit edge, where step refuses
-                    step(self.pattern())
+            if self._room < 1:  # refuse where step does, once the fields have room
+                self._centre(box := self.box())
+                _check_headroom(box, self.generation)
             self._keys, neighbors = _evolve_np(self._keys, neighbors), None
             self._room -= 1
             self.generation += 1
@@ -386,11 +390,8 @@ class Board:
         """The box (min_x, min_y, max_x, max_y), or None for an empty board."""
         if not self._keys.size:
             return None
-        # Keys sort x-major, so the first and last keys hold the x range.
-        x0, x1 = int(self._keys[0] >> _FIELD_BITS), int(self._keys[-1] >> _FIELD_BITS)
-        ys = self._keys & (_FIELD - 1)
-        ox, oy = self._origin
-        return x0 + ox, int(ys.min()) + oy, x1 + ox, int(ys.max()) + oy
+        (x0, y0, x1, y1), (ox, oy) = _extent(self._keys), self._origin
+        return x0 + ox, y0 + oy, x1 + ox, y1 + oy
 
     def shape(self) -> tuple[bytes, Box]:
         """The canonical shape and the box (min_x, min_y, max_x, max_y).
@@ -404,16 +405,20 @@ class Board:
         x0, y0 = box[0] - self._origin[0], box[1] - self._origin[1]
         return (self._keys - (x0 * _FIELD + y0)).tobytes(), box
 
-    def _placed(
-        self, shape: bytes, corner: Cell
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The keys of shape at corner, where they sort, and which are live."""
+    def _placed(self, shape: bytes, corner: Cell) -> tuple[np.ndarray, ...]:
+        """The keys of shape at corner, where they sort, which are live; see put."""
         keys = np.frombuffer(shape, dtype=np.int64)
-        x, y = corner[0] - self._origin[0], corner[1] - self._origin[1]
-        width, height = int(keys[-1] >> _FIELD_BITS), int((keys & (_FIELD - 1)).max())
-        if min(x, y) < 0 or max(x + width, y + height) >= _FIELD:
+        (x, y), (_, _, width, height) = corner[:2], _extent(keys)
+        body = x, y, x + width, y + height
+        if _room(body, self._origin) < 1:
+            box = self.box() or body
+            union = (*map(min, box[:2], body[:2]), *map(max, box[2:], body[2:]))
+            with contextlib.suppress(CoordinateOverflowError):
+                self._centre(union)
+        if _room(body, self._origin) < 0:
             raise ValueError(f"a body at {corner} is outside the packed fields")
-        keys = keys + (x * _FIELD + y)
+        self._room = min(self._room, _room(body, self._origin))
+        keys = keys + ((x - self._origin[0]) * _FIELD + y - self._origin[1])
         at = np.searchsorted(self._keys, keys)
         # Keys are never negative, so -1 stands past the last key.
         return keys, at, np.append(self._keys, -1)[at] == keys
@@ -430,19 +435,10 @@ class Board:
 
         A body with no room re-centres the fields; one too far raises ValueError.
         """
-        keys = np.frombuffer(shape, dtype=np.int64)
-        x1 = corner[0] + int(keys[-1] >> _FIELD_BITS)
-        body = (*corner, x1, corner[1] + int((keys & (_FIELD - 1)).max()))
-        if _room(body, self._origin) < 1:
-            box = self.box() or body
-            union = (*map(min, box[:2], body[:2]), *map(max, box[2:], body[2:]))
-            with contextlib.suppress(CoordinateOverflowError):
-                self._centre(union)
         keys, at, live = self._placed(shape, corner)
         if live.any():
             raise ValueError(f"the body at {corner} overlaps live cells")
         self._keys = np.insert(self._keys, at, keys)
-        self._room = min(self._room, _room(body, self._origin))
 
     def bodies(
         self, table: Mapping[bytes, V]

@@ -27,7 +27,7 @@ __all__ = [
 
 CANONICAL_RULE = "B3/S23"
 
-# Values a run count may take: non-negative 32-bit.
+# Values a run count or a header size may take: non-negative 32-bit.
 _MAX_RUN = 2**32 - 1
 
 # Live cells one document of either format may hold.  A run is checked
@@ -41,7 +41,7 @@ _RULE_ALIASES = {"B3/S23", "S23/B3", "23/3"}
 _HEADER_RE = re.compile(
     r"^\s*x\s*=\s*(\d+)\s*,\s*y\s*=\s*(\d+)"
     r"(?:\s*,\s*rule\s*=\s*([^,\s]+))?\s*$",
-    re.IGNORECASE,
+    re.ASCII | re.IGNORECASE,
 )
 
 # Max body line length when emitting, following common usage.
@@ -133,6 +133,9 @@ def parse_rle(text: str) -> PatternDocument:
             header_idx + 1,
             1,
         )
+    # Ten digits hold 32 bits, and int() refuses a few thousand.
+    if any(len(n.lstrip("0")) > 10 or int(n) > _MAX_RUN for n in m.group(1, 2)):
+        raise PatternFormatError("header size exceeds 32 bits", header_idx + 1, 1)
     width, height = int(m.group(1)), int(m.group(2))
     rule = CANONICAL_RULE
     if m.group(3) is not None:
@@ -151,7 +154,7 @@ def parse_rle(text: str) -> PatternDocument:
             pos = (li + 1, ci + 1)
             if ch.isspace():
                 continue
-            if ch.isdigit():
+            if ch in "0123456789":
                 count = (count or 0) * 10 + int(ch)
                 if count > _MAX_RUN:
                     raise PatternFormatError("run count exceeds 32 bits", *pos)

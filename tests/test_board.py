@@ -581,6 +581,31 @@ class TestWindow:
         # Three calls, each in a few dozen kernel steps at most.
         assert _count(log, "py") == 0 and _count(log, "np") < 3 * 30
 
+    @pytest.mark.parametrize("edge", ["min", "max"])
+    def test_the_board_refuses_the_edge_on_its_own_box(self, monkeypatch, edge):
+        # The board and the ship detector refuse from the packed box alone,
+        # with the message and generation of iterating step: the board
+        # neither unpacks itself nor runs step to find the edge.
+        if edge == "min":
+            sign, shift = -1, COORD_MIN + 1002
+        else:
+            sign, shift = 1, COORD_MAX - 1002
+        p = Pattern(_turned(GLIDER_CELLS, sign, shift))
+        expected = _refused(lambda: _iterated(p, 4000))
+        at_edge = _stepped(p, 3997)
+        assert "at generation 3997 reaches the edge" in expected
+
+        def unpacked(self):
+            raise AssertionError("Board.pattern should not run")
+
+        _forbid(monkeypatch, "step")
+        monkeypatch.setattr(Board, "pattern", unpacked)
+        for n in (3998, 4000, 2**64):
+            board = Board(p)
+            assert _refused(lambda: board.step(n)) == expected
+            assert board.generation == 3997
+        assert _refused(lambda: detect_ship(at_edge)) == expected
+
     def test_two_gliders_flying_together_recentre_and_jump(self, monkeypatch):
         # 2**31 - 12 apart, the pair leaves four free cells a side, so the
         # fields are re-centred every few generations; the pair recurs

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from lifeframes.engine import (
     EmptyPatternError,
     Pattern,
     _component_labels,
+    _neighbor_sort,
     _pack,
     _unpack,
     bounding_box,
@@ -151,7 +153,7 @@ class TestComponentLabels:
     def test_partition_matches_the_reference(self, cells):
         origin = _origin(cells)
         keys = _pack(cells, origin)
-        labels = _component_labels(keys)
+        labels = _component_labels(keys, _neighbor_sort(keys))
         bodies = {
             _unpack(keys[labels == label], origin) for label in set(labels.tolist())
         }
@@ -164,7 +166,8 @@ class TestComponentLabels:
             for dy in range(-gap, gap + 1):
                 cells = frozenset({(0, 0), (gap, dy)})
                 keys = _pack(cells, _origin(cells))
-                assert len(set(_component_labels(keys).tolist())) == count
+                labels = _component_labels(keys, _neighbor_sort(keys))
+                assert len(set(labels.tolist())) == count
 
 
 class TestEmissionEvent:
@@ -245,6 +248,31 @@ class TestDetectEmissions:
     def test_horizon_shorter_than_any_period(self, ships):
         with pytest.raises(ValueError, match="shorter"):
             detect_emissions(catalog_pattern("gosper_gun"), 3, ships)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda g: ShipReport(3, g.displacement, g.phases[:3]), "does not recur"),
+            (lambda g: replace(g, displacement=(1, -1)), "does not move by"),
+            (lambda g: replace(g, phases=g.phases[::-1]), "out of order"),
+            (
+                lambda g: ShipReport(8, (2, 2), g.phases * 2),
+                "share a phase shape",
+            ),
+        ],
+        ids=["period", "displacement", "phase-order", "shared-shape"],
+    )
+    def test_a_catalog_entry_the_engine_contradicts(self, change, message):
+        # Each census walks every catalog ship with the engine first.
+        glider = detect_ship(catalog_pattern("glider"))
+        assert (glider.period, glider.displacement) == (4, (1, 1))
+        with pytest.raises(ValueError, match=message):
+            detect_emissions(catalog_pattern("glider"), 20, [glider, change(glider)])
+
+    def test_a_catalog_listing_a_ship_twice_is_accepted(self, ships):
+        glider = catalog_pattern("glider")
+        twice = detect_emissions(glider, 20, ships + ships)
+        assert twice == detect_emissions(glider, 20, ships)
 
     def test_catalog_without_ships(self):
         block = detect_ship(catalog_pattern("block"))
