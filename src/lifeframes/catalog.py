@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detector import ShipReport, detect_ship
-from .engine import Cell, Pattern
+from .engine import Cell, Pattern, _checked_count
 from .patterns import parse_rle
 
 __all__ = [
@@ -153,6 +153,7 @@ def gun_battery(units: int = 23) -> Pattern:
     single-unit average instead of growing.  The default stack starts
     at 989 cells and settles near 1500.
     """
+    units = _checked_count(units, "units")
     if units < 1:
         raise ValueError("a battery needs at least one unit")
     unit = gun_unit().cells

@@ -2,29 +2,28 @@
 
 Live cells are kept as a frozenset of (x, y) integer pairs, x growing
 rightward and y growing downward.  ``step`` is a plain sparse
-neighbor-count pass in Python.  ``step_n``, the ship detector and the
-emission census all step one packed ``Board``: sorted 64-bit keys that
-pack each cell's coordinates in two 31-bit fields centred on the box,
-advanced in place by one sort of their neighbor keys per generation.
-The box grows by at most a cell a side per generation, so the board
-counts the free cells to the nearer of the fields' and the 64-bit edge,
-and re-centres the fields once they are used up.  It refuses the 64-bit
-edge on its own box, at the generation iterating ``step`` would, so
-only ``step_n``'s fallback, for a board too wide for the fields, runs
-``step``.  A board that recurs, in place or moved, jumps exactly over
-the whole periods left of a run, as far as the 64-bit edge lets it.
-The board also splits itself into bodies for the census from the same
-sort, looks them up by shape, and takes them off or puts them back, so
-the key format stays in this module.
+neighbor-count pass in Python, the reference.  ``step_n``, the ship
+detector and the emission census all step one packed ``Board``: sorted
+64-bit keys that pack each cell's coordinates in two 31-bit fields
+centred on the box, advanced in place by one sort of their neighbor
+keys per generation.  The box grows by at most a cell a side per
+generation, so the board counts the free cells to the nearer of the
+fields' and the 64-bit edge, re-centres the fields once they are used
+up, and refuses the 64-bit edge where iterating ``step`` would.  A
+board that recurs, in place or moved, jumps exactly over the whole
+periods left of a run.  ``step_n`` runs a board too wide for the fields
+with its wide empty bands squeezed.  The board also splits itself into
+bodies for the census from the same sort, looks them up by shape, and
+takes them off or puts them back, so the key format stays in this module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
+from bisect import bisect
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -152,18 +151,22 @@ def _evolve_py(cells: frozenset[Cell]) -> frozenset[Cell]:
     )
 
 
-def _check_headroom(box: Box, generation: int) -> None:
-    """Refuse to step a board at generation whose box touches the 64-bit edge.
+def _check_headroom(box: Box, generation: int) -> int:
+    """Free cells on box's tightest side to the 64-bit edge; refuse a board
+    at generation whose box touches it.
 
     One generation moves the bounding box by at most one cell in each
     direction (nothing outruns a chess king), so the next one is in
     range when this one is a cell clear of the edge.
     """
-    if min(box) <= COORD_MIN or max(box) >= COORD_MAX:
+    x0, y0, x1, y1 = box
+    room = min(x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1)
+    if room <= 0:
         raise CoordinateOverflowError(
             f"box {box} at generation {generation} reaches the edge of the "
             f"signed 64-bit coordinate range"
         )
+    return room
 
 
 def step(p: Pattern) -> Pattern:
@@ -177,6 +180,12 @@ def _room(box: Box, origin: Cell) -> int:
     (x0, y0, x1, y1), (ox, oy) = box, origin
     packed = min(x0 - ox, y0 - oy, _FIELD - 1 - x1 + ox, _FIELD - 1 - y1 + oy)
     return min(packed, x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1)
+
+
+def _fits(box: Box, generations: int = 1) -> bool:
+    """Whether the fields keep box a free cell a side at each re-centring while
+    it grows a cell a side a generation for generations (at least 1)."""
+    return max(box[2] - box[0], box[3] - box[1]) + 2 * generations < _FIELD
 
 
 def _clear_cycles(cycles: int, box: Box, move: Cell, period: int) -> int:
@@ -296,19 +305,6 @@ def _check_factor(factor: float | None) -> None:
         )
 
 
-def _check_growth(
-    start: int, factor: float | None, count: int, generation: int
-) -> None:
-    """Refuse a population above factor x the start count of its run."""
-    if factor is not None and count > start * factor:
-        raise ExplosiveGrowthError(
-            f"population {count} exceeds {factor} x initial {start} "
-            f"at generation {generation}",
-            generation,
-            count,
-        )
-
-
 class Board:
     """A board held as sorted packed keys and stepped in place.
 
@@ -331,11 +327,11 @@ class Board:
 
     def _centre(self, box: Box) -> None:
         """Centre the fields on box; CoordinateOverflowError if they have no room."""
-        free = _FIELD - 1 - box[2] + box[0], _FIELD - 1 - box[3] + box[1]
-        if min(free) < 2:
+        if not _fits(box):
             raise CoordinateOverflowError(
                 f"box {box} at generation {self.generation} fills the packed fields"
             )
+        free = _FIELD - 1 - box[2] + box[0], _FIELD - 1 - box[3] + box[1]
         nx, ny = box[0] - free[0] // 2, box[1] - free[1] // 2
         ox, oy = self._origin
         if self._keys.size:
@@ -368,7 +364,11 @@ class Board:
             self._keys, neighbors = _evolve_np(self._keys, neighbors), None
             self._room -= 1
             self.generation += 1
-            _check_growth(count, self._factor, self._keys.size, self.generation - first)
+            size = self._keys.size
+            if self._factor is not None and size > count * self._factor:
+                t = self.generation - first
+                message = f"population {size} exceeds {self._factor} x initial {count}"
+                raise ExplosiveGrowthError(f"{message} at generation {t}", t, size)
             if self.generation < end and self._keys.size == saved[0].size:
                 move = _shift(saved[0], self._keys)
                 if move is not None:
@@ -413,7 +413,7 @@ class Board:
         if _room(body, self._origin) < 1:
             box = self.box() or body
             union = (*map(min, box[:2], body[:2]), *map(max, box[2:], body[2:]))
-            with contextlib.suppress(CoordinateOverflowError):
+            if _fits(union):
                 self._centre(union)
         if _room(body, self._origin) < 0:
             raise ValueError(f"a body at {corner} is outside the packed fields")
@@ -503,12 +503,33 @@ class Board:
         return Pattern(_unpack(self._keys, self._origin), self.generation)
 
 
+def _squeeze(cells: frozenset[Cell], r: int) -> tuple[frozenset[Cell], Callable]:
+    """cells with each empty band wider than 2r + 1 narrowed to 2r + 1, and the
+    map back for cells up to r generations on: parts that far apart evolve
+    alone, and a cell stays on its part's side of each narrowed band's middle."""
+    axes = []
+    for order in (sorted({cell[axis] for cell in cells}) for axis in (0, 1)):
+        places, middles, back = {order[0]: order[0]}, [], [0]
+        for last, c in zip(order, order[1:]):
+            if c - last > 2 * r + 2:
+                middles.append(places[last] + r + 1)
+                back.append(back[-1] + c - last - 2 * r - 2)
+            places[c] = c - back[-1]
+        axes.append((places, middles, back))
+    (xs, x_mid, x_back), (ys, y_mid, y_back) = axes
+    return frozenset((xs[x], ys[y]) for x, y in cells), lambda moved: frozenset(
+        (x + x_back[bisect(x_mid, x)], y + y_back[bisect(y_mid, y)]) for x, y in moved
+    )
+
+
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
     """n-fold iteration of ``step``, refusing at the generation it would.
 
-    A recurring board jumps exactly over the whole periods left; one too
-    wide for the packed fields iterates ``step`` from then on.  With a
-    population_factor, raises ExplosiveGrowthError at the first
+    One packed ``Board`` runs it, jumping over whole periods.  A board too
+    wide for the fields runs on squeezed (``_squeeze``), r generations at a
+    time: r is at most its room to the 64-bit edge, halved until the
+    squeezed box fits, else the board refuses with the fields' error.  With
+    a population_factor, raises ExplosiveGrowthError at the first
     generation over that factor times p's population; a factor that is
     nan, infinite or not above 0 raises ValueError, a non-int n TypeError.
     """
@@ -516,15 +537,23 @@ def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Patter
     _check_factor(population_factor)
     if n < 0:
         raise ValueError("generation count must be non-negative")
-    if n == 0:
-        return p
-    board = None
-    with contextlib.suppress(CoordinateOverflowError):
-        board = Board(p, population_factor=population_factor)
-        board.step(n)
-        return board.pattern()
-    q = p if board is None else board.pattern()
-    for t in range(q.generation - p.generation + 1, n + 1):
-        q = step(q)
-        _check_growth(len(p.cells), population_factor, len(q.cells), t)
+    end, q = p.generation + n, p
+    while q.generation < end:
+        cells, r, back = q.cells, end - q.generation, None
+        if q.cells and not _fits(box := bounding_box(q)):
+            r = min(r, _check_headroom(box, q.generation))
+            while r and not _fits(bounding_box(Pattern(_squeeze(q.cells, r)[0])), r):
+                r //= 2
+            if r:  # else no squeeze fits, and the board refuses q
+                cells, back = _squeeze(q.cells, r)
+        board = Board(Pattern(cells, q.generation), population_factor=population_factor)
+        board._start = p.generation, len(p.cells)
+        try:
+            board.step(r)
+        except CoordinateOverflowError:
+            if _fits(board.box()):
+                raise  # the 64-bit edge; one that outgrows the fields is squeezed
+        q = board.pattern()
+        if back:
+            q = Pattern(back(q.cells), q.generation)
     return q

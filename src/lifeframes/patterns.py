@@ -152,7 +152,7 @@ def parse_rle(text: str) -> PatternDocument:
             break
         for ci, ch in enumerate(lines[li]):
             pos = (li + 1, ci + 1)
-            if ch.isspace():
+            if ch.isascii() and ch.isspace():
                 continue
             if ch in "0123456789":
                 count = (count or 0) * 10 + int(ch)

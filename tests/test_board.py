@@ -2,10 +2,19 @@
 
 The detector is checked against ``ship_reference``, which steps with
 the Python ``step`` and compares canonical cell sets; the population
-guard is checked on both of step_n's paths.  The jump over whole
+guard is checked against iterated ``step``.  The jump over whole
 periods of a recurring board is checked against plain stepping, and
 every 64-bit refusal against the generation at which ``step`` refuses.
+A board too wide for the packed fields runs squeezed, which is checked
+against iterated ``step`` too, also on an engine built with 1 024-cell
+fields, where squeezes are common.
 """
+
+import functools
+import inspect
+import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,15 +56,6 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(engine, name, forbidden)
 
 
-def _too_wide(monkeypatch):
-    """Make every board too wide for the packed fields, so step_n runs Python."""
-
-    def no_room(self, box):
-        raise CoordinateOverflowError("no room in the packed fields")
-
-    monkeypatch.setattr(Board, "_centre", no_room)
-
-
 class TestPopulationBound:
     def test_step_n_names_the_first_generation_over_it(self):
         with pytest.raises(ExplosiveGrowthError) as info:
@@ -69,7 +69,10 @@ class TestPopulationBound:
         assert (info.value.generation, info.value.population) == (6, 12)
 
     def test_python_path_applies_it_too(self, monkeypatch):
-        _forbid(monkeypatch, "_evolve_np")
+        # A board too wide for the fields runs squeezed, not in Python,
+        # and its guard counts from the whole board's start.
+        _forbid(monkeypatch, "_evolve_py")
+        _forbid(monkeypatch, "step")
         wide = R_PENTOMINO | {(x + 2**31, y) for x, y in R_PENTOMINO}
         with pytest.raises(ExplosiveGrowthError) as info:
             step_n(Pattern(wide), 512, population_factor=2.0)
@@ -394,6 +397,25 @@ def _run(p, n, factor):
         return ("explosive", exc.generation, exc.population)
 
 
+@functools.lru_cache(maxsize=None)
+def _populations(name):
+    """The battery unit or R-pentomino over 1 200 generations of iterated step."""
+    p = gun_battery(1) if name == "battery" else Pattern(R_PENTOMINO)
+    run = [p]
+    for _ in range(1200):
+        run.append(step(run[-1]))
+    return run
+
+
+def _run_reference(name, factor):
+    """_run's outcome from iterated step and the growth guard's rule."""
+    run = _populations(name)
+    for t, q in enumerate(run[1:], 1):
+        if len(q) > len(run[0]) * factor:
+            return ("explosive", t, len(q))
+    return run[-1]
+
+
 class TestRecurrenceJump:
     """A board that recurs jumps over whole periods and lands exactly."""
 
@@ -419,11 +441,9 @@ class TestRecurrenceJump:
         "factor", [1.05, 1.2, 1.5, 1.6, 1.65, 1.7, 1.8, 1.82, 2.0, 3.0, 25.0, 70.0]
     )
     @pytest.mark.parametrize("name", ["battery", "r_pentomino"])
-    def test_growth_errors_match_the_python_path(self, monkeypatch, name, factor):
+    def test_growth_errors_match_the_python_path(self, name, factor):
         p = gun_battery(1) if name == "battery" else Pattern(R_PENTOMINO)
-        packed = _run(p, 1200, factor)
-        _too_wide(monkeypatch)
-        assert packed == _run(p, 1200, factor)
+        assert _run(p, 1200, factor) == _run_reference(name, factor)
 
     def test_shapes_compare_from_the_box_corner(self):
         # Relative to the first key, (0, 5), (1, 0) and (0, 0), (0, F - 5)
@@ -636,9 +656,11 @@ class TestWindow:
         log = []
         with monkeypatch.context() as patched:
             _spy(patched, log)
+            _forbid(patched, "step")
             assert step_n(p, 40) == expected
-        assert _count(log, "np") > 0 and _count(log, "py") > 0
-        assert _count(log, "np") + _count(log, "py") == 40
+        # The board steps until it outgrows the fields, and a squeezed
+        # board steps the rest.
+        assert _count(log, "py") == 0 and _count(log, "np") == 40
         board = Board(p)
         with pytest.raises(CoordinateOverflowError, match="packed fields"):
             board.step(40)
@@ -739,3 +761,119 @@ class TestEdgeExactness:
         assert _refused(lambda: step_n(p, n)) == expected
         board = Board(p)
         assert _refused(lambda: board.step(n) or board.pattern()) == expected
+
+
+SQUEEZE_PIECES = [
+    catalog_pattern(name).cells for name in ("glider", "lwss", "block", "blinker")
+] + [R_PENTOMINO]
+
+
+def _with_fields(bits):
+    """A copy of the engine module whose packed fields are bits wide."""
+    source = inspect.getsource(engine)
+    assert source.count("_FIELD_BITS = 31\n") == 1
+    source = source.replace("_FIELD_BITS = 31\n", f"_FIELD_BITS = {bits}\n")
+    module = types.ModuleType(f"{engine.__name__}_{bits}")
+    # dataclass looks its class's module up while it builds Pattern.
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(source, engine.__file__, "exec"), module.__dict__)
+    return module
+
+
+SMALL_FIELDS = _with_fields(10)
+
+
+@st.composite
+def far_scenes(draw, far, near_field):
+    """1 to 4 small pieces in any orientation, each 3 to far cells past the
+    last along x or y, or about near_field past it; at times the scene
+    sits within 12 cells of a 64-bit edge or corner."""
+    gap = st.integers(3, 40) | st.integers(near_field - 40, near_field + 8)
+    gap |= st.integers(3, far)
+    cells, x, y = set(), 0, 0
+    for _ in range(draw(st.integers(1, 4))):
+        turn = draw(st.sampled_from(catalog._ORIENTATIONS))
+        piece = catalog._transform(draw(st.sampled_from(SQUEEZE_PIECES)), turn)
+        cells |= {(a + x, b + y) for a, b in piece}
+        if draw(st.booleans()):
+            x, y = x + 5 + draw(gap), y + draw(st.integers(-8, 8))
+        else:
+            x, y = x + draw(st.integers(-8, 8)), y + 5 + draw(gap)
+    box = bounding_box(Pattern(cells))
+    shift = []
+    for low, high in zip(box[:2], box[2:]):
+        side = draw(st.sampled_from([-1, 0, 0, 1]))
+        inset = draw(st.integers(0, 12))
+        shift.append(
+            {-1: COORD_MIN + inset - low, 0: 0, 1: COORD_MAX - inset - high}[side]
+        )
+    return translate(Pattern(cells, draw(st.integers(0, 3))), *shift)
+
+
+def _result(run, module, p, n, factor):
+    """run's pattern, or the type, message, generation and population of
+    the error it raised."""
+    try:
+        return run(module, p, n, factor)
+    except (module.CoordinateOverflowError, module.ExplosiveGrowthError) as exc:
+        found = getattr(exc, "generation", None), getattr(exc, "population", None)
+        return type(exc), str(exc), *found
+
+
+def _squeezed(module, p, n, factor):
+    return module.step_n(p, n, population_factor=factor)
+
+
+def _stepped_with_guard(module, p, n, factor):
+    """Iterated step, with the growth guard's rule and message."""
+    q = p
+    for t in range(1, n + 1):
+        q = module.step(q)
+        if factor is not None and len(q) > len(p) * factor:
+            raise module.ExplosiveGrowthError(
+                f"population {len(q)} exceeds {factor} x initial {len(p)} "
+                f"at generation {t}",
+                t,
+                len(q),
+            )
+    return q
+
+
+class TestSqueeze:
+    """step_n on far-apart pieces equals iterated step, error for error."""
+
+    @given(
+        far_scenes(far=2**40, near_field=2**31),
+        st.integers(0, 8) | st.integers(0, 120),
+        st.sampled_from([None, 1.5, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_far_pieces_match_iterated_step(self, p, n, factor):
+        assert _result(_squeezed, engine, p, n, factor) == _result(
+            _stepped_with_guard, engine, p, n, factor
+        )
+
+    @given(
+        far_scenes(far=2**12, near_field=2**10),
+        st.integers(0, 8) | st.integers(0, 120),
+        st.sampled_from([None, 1.5, 3.0]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_far_pieces_match_iterated_step_on_small_fields(self, p, n, factor):
+        p = SMALL_FIELDS.Pattern(p.cells, p.generation)
+        assert _result(_squeezed, SMALL_FIELDS, p, n, factor) == _result(
+            _stepped_with_guard, SMALL_FIELDS, p, n, factor
+        )
+
+    def test_a_board_no_squeeze_fits_is_refused(self):
+        # Cells 4 apart leave bands of 3, which a chunk of 1 keeps, so the
+        # 1 197-cell row never fits 1 024-cell fields; 5 apart, they do.
+        row = SMALL_FIELDS.Pattern(frozenset((4 * k, 0) for k in range(300)))
+        with pytest.raises(
+            SMALL_FIELDS.CoordinateOverflowError,
+            match=r"^box \(0, 0, 1196, 0\) at generation 0 fills the packed fields$",
+        ):
+            SMALL_FIELDS.step_n(row, 1)
+        assert step_n(Pattern(row.cells), 1) == Pattern(frozenset(), 1)
+        spread = SMALL_FIELDS.Pattern(frozenset((5 * k, 0) for k in range(230)))
+        assert SMALL_FIELDS.step_n(spread, 1) == SMALL_FIELDS.Pattern(frozenset(), 1)

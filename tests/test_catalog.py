@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from lifeframes.catalog import (
@@ -89,3 +90,14 @@ def test_battery_stays_bounded():
 def test_battery_needs_a_unit():
     with pytest.raises(ValueError):
         gun_battery(0)
+
+
+@pytest.mark.parametrize("units", [True, "2", 2.0])
+def test_battery_counts_units_in_ints(units):
+    with pytest.raises(TypeError, match=r"^units must be an int, not "):
+        gun_battery(units)
+
+
+def test_battery_takes_numpy_integers():
+    assert gun_battery(np.int64(2)) == gun_battery(2)
+    assert len(gun_battery(np.int64(2))) == 86

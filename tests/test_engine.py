@@ -151,13 +151,29 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(engine, name, forbidden)
 
 
+def _squeezes(monkeypatch):
+    """Count the calls of engine._squeeze."""
+    calls, squeeze = [], engine._squeeze
+
+    def counted(*args):
+        calls.append(args[1])
+        return squeeze(*args)
+
+    monkeypatch.setattr(engine, "_squeeze", counted)
+    return calls
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("corner", CORNERS)
 def test_board_wider_than_the_fields_takes_the_python_path(monkeypatch, axis, corner):
-    _forbid(monkeypatch, "_evolve_np")
+    # It does not: the board runs packed, with its empty band squeezed.
+    _forbid(monkeypatch, "_evolve_py")
+    _forbid(monkeypatch, "step")
+    squeezes = _squeezes(monkeypatch)
     gap, n = 2**31, 8
     board = Pattern(frozenset(_two_gliders(gap, axis, corner)))
     assert step_n(board, n).cells == _dense_two_gliders(gap, axis, corner, n)
+    assert squeezes
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -166,14 +182,54 @@ def test_board_wider_than_the_fields_takes_the_python_path(monkeypatch, axis, co
 def test_board_at_the_edge_of_the_extent_window(monkeypatch, n, axis, corner):
     # The board is gap + 3 wide, and both gliders fly the same way, so
     # it keeps one free cell a side in a 2**31-cell field whatever the
-    # run's length; one more cell sends it to Python.
+    # run's length; one more cell gets its empty band squeezed.  Neither
+    # runs the Python pass.
     gap = 2**31 - 5
-    for width, unused in ((gap, "_evolve_py"), (gap + 1, "_evolve_np")):
+    for width, squeezed in ((gap, False), (gap + 1, True)):
         board = Pattern(frozenset(_two_gliders(width, axis, corner)))
         with monkeypatch.context() as patched:
-            _forbid(patched, unused)
+            _forbid(patched, "_evolve_py")
+            _forbid(patched, "step")
+            squeezes = _squeezes(patched)
             got = step_n(board, n).cells
         assert got == _dense_two_gliders(width, axis, corner, n)
+        assert bool(squeezes) == squeezed
+
+
+def test_a_glider_refused_at_the_edge_runs_no_python(monkeypatch):
+    # The board's own 64-bit refusal passes through step_n as it is: no
+    # unpacking and no step to raise it again.
+    glider = translate(Pattern(GLIDER), COORD_MAX - 1002, 0)
+    refused = (
+        f"box ({COORD_MAX - 2}, 1000, {COORD_MAX}, 1002) at generation 3999 "
+        "reaches the edge of the signed 64-bit coordinate range"
+    )
+    _forbid(monkeypatch, "_evolve_py")
+    _forbid(monkeypatch, "step")
+    _forbid(monkeypatch, "_squeeze")
+
+    def unpacked(self):
+        raise AssertionError("Board.pattern should not run")
+
+    monkeypatch.setattr(engine.Board, "pattern", unpacked)
+    with pytest.raises(CoordinateOverflowError) as err:
+        step_n(glider, 10**6)
+    assert str(err.value) == refused
+
+
+def test_two_blocks_far_apart_jump_a_billion_generations(monkeypatch):
+    # Each squeezed chunk is a still life, so it jumps: a few kernel steps.
+    blocks = Pattern(BLOCK | {(x + 2**31, y) for x, y in BLOCK})
+    steps, evolve = [], engine._evolve_np
+
+    def counted(*args):
+        steps.append(1)
+        return evolve(*args)
+
+    monkeypatch.setattr(engine, "_evolve_np", counted)
+    _forbid(monkeypatch, "_evolve_py")
+    assert step_n(blocks, 10**9) == Pattern(blocks.cells, 10**9)
+    assert 0 < len(steps) < 20
 
 
 @given(cells_strategy())

@@ -90,13 +90,15 @@ class TestParseAuto:
 
 
 # Small patterns as (width, height, RLE body): glider, block, blinker,
-# LWSS and R-pentomino, so that most runs step a board.
+# LWSS and R-pentomino, so that most runs step a board; and two blocks
+# 2**31 apart, a board too wide for the packed fields.
 SMALL = [
     (3, 3, "bo$2bo$3o!"),
     (2, 2, "2o$2o!"),
     (3, 1, "3o!"),
     (5, 4, "bo2bo$o4b$o3bo$4o!"),
     (3, 3, "b2o$2o$bo!"),
+    (2**31 + 2, 2, "2o2147483646b2o$2o2147483646b2o!"),
 ]
 PLAIN = ["", ".O.\n..O\nOOO", "OO\nOO", "O", "...", "O.*"]
 damage = st.sampled_from([False, False, False, True])

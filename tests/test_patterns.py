@@ -65,6 +65,16 @@ class TestParseRle:
         doc = parse_rle("x = 3, y = 1, rule = B3/S23\n o 2o !\n")
         assert doc.cells == {(0, 0), (1, 0), (2, 0)}
 
+    @pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u2003"])
+    def test_only_ascii_whitespace_is_skipped(self, space):
+        # Tab and space are blanks; a Unicode space is a character the
+        # format does not have, located where it stands.
+        assert len(parse_auto("x = 3, y = 1\n2\to o!").cells) == 3
+        with pytest.raises(PatternFormatError) as err:
+            parse_auto(f"x = 3, y = 1\n2 o{space}o!")
+        assert (err.value.line, err.value.column) == (2, 4)
+        assert "unexpected character" in str(err.value)
+
     def test_zero_run_count(self):
         with pytest.raises(PatternFormatError, match="zero"):
             parse_rle("x = 2, y = 1, rule = B3/S23\n0o!\n")
