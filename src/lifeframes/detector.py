@@ -366,16 +366,20 @@ def detect_emissions(
     main body than at first sighting.  Velocity is the measured anchor
     shift divided by the elapsed generations.
 
-    Once the census state (the board's shape and its tracks, taken from
-    the box corner; Brent's search) repeats with period P and move m,
-    each later generation confirms the events of P generations before,
-    born P later and first sighted m away: those are replayed and the
-    stepping stops.
+    Each generation's census state (the board's shape and its tracks,
+    taken from the box corner) is compared with the last two saves of
+    Brent's search, made at generations 2^k − 1.  Once it repeats one
+    of them with period P and move m, each later generation confirms
+    the events of P generations before, born P later and first sighted
+    m away: those are replayed and the stepping stops.  The board's box
+    of every generation and the ships put back are kept from the older
+    save on, so each period the replay rule reads is complete.
 
-    Escaped ships leave the board, so the gun's census repeats too (as
-    the 23-gun battery's: period 30, seen at 93).  Cells 3 apart share
-    no neighbour, and ship hulls move linearly, so two boxes with a side
-    3 apart that never shrinks stay apart.  So it is exact: a confirmed
+    Escaped ships leave the board, so the gun's census repeats too
+    (period 30: its state saved at 15 is seen at 45, and the 23-gun
+    battery's saved at 63 at 93).  Cells 3 apart share no neighbour,
+    and ship hulls move linearly, so two boxes with a side 3 apart that
+    never shrinks stay apart.  So it is exact: a confirmed
     ship 3 clear of all other bodies' box, with such a side to every
     retired ship's hull, is taken off and evolves alone; before each
     split, one within 2 of the board's box goes back with its confirmed
@@ -413,46 +417,52 @@ def detect_emissions(
     confirmed: list[tuple[int, EmissionEvent]] = []
     # Live tracks keyed by the sighting each should make next.
     tracks: dict[tuple[bytes, Cell], _Track] = {}
-    # Ships off the board, keyed like tracks; while there are any, the
-    # board's box of each generation; the ships put back since the last
-    # save, and when.
+    # Ships off the board, keyed like tracks; the board's box of each
+    # generation and the ships put back, and when, since the older save.
     retired: dict[tuple[bytes, Cell], _Retired] = {}
     boxes: list[tuple[int, Box | None]] = []
     backs: list[tuple[_Retired, int]] = []
-    # Brent's cycle search: one saved census state, replaced whenever
-    # the generations since it was saved reach a power of two.
-    saved_at, power, saved_population = 0, 1, board.population
-    saved, saved_corner = _census_state(board, tracks, 0)
+    # Brent's cycle search: the last two saved census states, older
+    # first, each with when it was saved and its population; a new one
+    # is saved whenever the generations since the newer reach a power of
+    # two, so at 0, 1, 3, 7 and so on.
+    power = 1
+    saves = [(0, board.population, _census_state(board, tracks, 0))]
     for generation in range(horizon + 1):
-        if retired:
-            box = board.box()
-            boxes.append((generation, box))
-            for key in list(retired):
-                if _gap(_box(key[1], phases[key[0]].extent), box) < _APART:
-                    board.put(*key)
-                    backs.append((retired.pop(key), generation))
-                    tracks[key] = _Track(generation, key[1], None, confirmed=True)
-            retired = {_next(phases[s], a): ship for (s, a), ship in retired.items()}
-        if generation > saved_at and board.population == saved_population:
-            state, corner = _census_state(board, tracks, generation)
-            period = generation - saved_at
-            mx, my = corner[0] - saved_corner[0], corner[1] - saved_corner[1]
-            if state == saved and _replay_keeps_apart(
-                retired.values(), boxes, backs, saved_at, period, (mx, my)
-            ):
-                cycle = [(t, e) for t, e in confirmed if t >= saved_at]
-                for k in range(1, (horizon - saved_at) // period + 1 if cycle else 1):
-                    confirmed += [
-                        (t + k * period, _moved(e, k * period, k * mx, k * my))
-                        for t, e in cycle
-                        if t + k * period <= horizon
-                    ]
-                break
-        if generation - saved_at == power:
-            saved, saved_corner = _census_state(board, tracks, generation)
-            saved_at, power, saved_population = generation, 2 * power, board.population
-            boxes = [(t, box) for t, box in boxes if t >= generation]
-            backs = [(o, t) for o, t in backs if t >= generation]
+        box = board.box()
+        boxes.append((generation, box))
+        for key in list(retired):
+            if _gap(_box(key[1], phases[key[0]].extent), box) < _APART:
+                board.put(*key)
+                backs.append((retired.pop(key), generation))
+                tracks[key] = _Track(generation, key[1], None, confirmed=True)
+        retired = {_next(phases[s], a): ship for (s, a), ship in retired.items()}
+        here = replay = None
+        if generation > saves[-1][0] and board.population in {n for _, n, _ in saves}:
+            here = state, (cx, cy) = _census_state(board, tracks, generation)
+            for saved_at, _, (saved, (sx, sy)) in saves:
+                period, move = generation - saved_at, (cx - sx, cy - sy)
+                if state == saved and _replay_keeps_apart(
+                    retired.values(), boxes, backs, saved_at, period, move
+                ):
+                    replay = saved_at, period, move
+                    break
+        if replay:
+            saved_at, period, (mx, my) = replay
+            cycle = [(t, e) for t, e in confirmed if t >= saved_at]
+            for k in range(1, (horizon - saved_at) // period + 1 if cycle else 1):
+                confirmed += [
+                    (t + k * period, _moved(e, k * period, k * mx, k * my))
+                    for t, e in cycle
+                    if t + k * period <= horizon
+                ]
+            break
+        if generation - saves[-1][0] == power:
+            here = here or _census_state(board, tracks, generation)
+            saves = [saves[-1], (generation, board.population, here)]
+            power *= 2
+            boxes = [(t, box) for t, box in boxes if t >= saves[0][0]]
+            backs = [(o, t) for o, t in backs if t >= saves[0][0]]
         matched, body = board.bodies(phases)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():

@@ -64,6 +64,21 @@ GUN = catalog_pattern("gosper_gun").cells
 BESIDE = [frozenset(), frozenset({(20, 14), (21, 14), (22, 14)})]
 BESIDE += [frozenset({(22, 13), (23, 13), (22, 14), (23, 14)})]
 
+# The scenes whose split counts are pinned: the gun, the battery, the
+# gun with its mirror 60 cells to the left firing apart, the gun with a
+# blinker beside its stream, the gun with a copy 62 left and 26 down
+# firing side by side, and the gun with its mirror 37 cells to the
+# right, whose gliders meet.
+_RIGHT = max(x for x, _ in GUN) + 37
+SCENES = {
+    "gun": Pattern(GUN),
+    "battery": gun_battery(23),
+    "apart": Pattern(GUN | frozenset((-x - 60, y) for x, y in GUN)),
+    "blinker": Pattern(GUN | BESIDE[1]),
+    "side": Pattern(GUN | frozenset((x - 62, y + 26) for x, y in GUN)),
+    "mirrored": Pattern(GUN | frozenset((_RIGHT - x, y) for x, y in GUN)),
+}
+
 
 @st.composite
 def gun_scenes(draw):
@@ -147,9 +162,7 @@ class TestRecurrenceJump:
     def test_replayed_events_repeat_each_period(self, ships):
         # Two mirrored guns whose gliders meet and vanish: two gliders
         # are confirmed every 30 generations and the board never grows.
-        gun = catalog_pattern("gosper_gun").cells
-        right = max(x for x, _ in gun) + 37
-        guns = Pattern(gun | frozenset((right - x, y) for x, y in gun))
+        guns = SCENES["mirrored"]
         events, count = splits(guns, 1000, ships)
         assert count == 123
         assert events == unjumped(guns, 1000, ships)
@@ -237,13 +250,14 @@ class TestRetirement:
 
     def test_gun_settles_once_its_gliders_retire(self, ships):
         # Each glider leaves the board once 3 cells clear of the gun, so
-        # the board repeats with period 30 and is seen at generation 93.
+        # the board repeats with period 30: the state saved at 15 is seen
+        # again at 45.
         gun = catalog_pattern("gosper_gun").cells
         for a, b, c, d in _ORIENTATIONS:
             turned = Pattern(frozenset((a * x + b * y, c * x + d * y) for x, y in gun))
             for horizon, count in [(300, 9), (2000, 66), (10**6, 33333)]:
                 events, split = splits(turned, horizon, ships)
-                assert (len(events), split) == (count, 93), (a, b, c, d, horizon)
+                assert (len(events), split) == (count, 45), (a, b, c, d, horizon)
 
     def test_gliders_meeting_head_on(self, ships):
         # Both gliders are confirmed at generation 4, well apart, but only
@@ -275,14 +289,12 @@ class TestRetirement:
         # The blinker's box swings by a cell every generation, so each
         # glider retired 3 cells clear of it comes back for a generation.
         # A ship retired and put back inside a period does so again in
-        # every later one, so the census replays.  The saves at 63 are
-        # refused, as no ship was off the board at 64 and its box is
-        # missing; the state saved at 127 is seen again at 157.
-        blinker = {(20, 14), (21, 14), (22, 14)}
-        scene = Pattern(catalog_pattern("gosper_gun").cells | blinker)
+        # every later one, so the census replays: the state saved at 63
+        # is seen again at 93.
+        scene = SCENES["blinker"]
         events, taken, returned, refused = spied(scene, 200, ships)
-        assert (taken, returned, refused) == (12, 8, [63, 63])
-        assert splits(scene, 200, ships) == (events, 157)
+        assert (taken, returned, refused) == (5, 4, [])
+        assert splits(scene, 200, ships) == (events, 93)
         assert [e.birth_generation for e in events] == [35, 65, 95, 125, 155]
         assert events == unretired(scene, 200, ships)
         assert events == unjumped(scene, 200, ships)
@@ -291,22 +303,21 @@ class TestRetirement:
     def test_two_guns_firing_apart(self, ships):
         # The gun and its mirror 60 cells to the left retire gliders at
         # two velocities from generation 90; each later copy only draws
-        # away from those retired before it, so the state saved at 127
-        # replays from 157.
-        guns = Pattern(GUN | frozenset((-x - 60, y) for x, y in GUN))
+        # away from those retired before it, so the state saved at 63
+        # replays from 93.
+        guns = SCENES["apart"]
         events, split = splits(guns, 400, ships)
-        assert (len(events), split) == (26, 157)
+        assert (len(events), split) == (26, 93)
         assert events == unjumped(guns, 400, ships)
-        assert splits(guns, 8000, ships)[1] == 157
+        assert splits(guns, 8000, ships)[1] == 93
 
     def test_two_guns_side_by_side(self, ships):
         # The gun and a copy 62 cells to the left and 26 down fire
         # parallel streams.  Each later copy of a glider slides back
         # along its stream, so its gap to a glider of the other stream
         # shrinks at first, but one side of it is well over 3 and only
-        # widens: the state saved at 63 replays from 93, as the gun's
-        # alone does.
-        guns = Pattern(GUN | frozenset((x - 62, y + 26) for x, y in GUN))
+        # widens: the state saved at 63 replays from 93.
+        guns = SCENES["side"]
         for horizon in (400, 2000, 8000):
             assert splits(guns, horizon, ships)[1] == 93, horizon
         events = detect_emissions(guns, 2000, ships)
@@ -317,16 +328,34 @@ class TestRetirement:
         # The mirrored guns' gliders stay inside the box of the two guns
         # until they meet, and the battery's gliders never escape, so no
         # ship leaves the board and the splits stay as they were.
-        gun = catalog_pattern("gosper_gun").cells
-        right = max(x for x, _ in gun) + 37
-        guns = Pattern(gun | frozenset((right - x, y) for x, y in gun))
         for scene, horizon, count, split in [
-            (guns, 1000, 66, 123),
+            (SCENES["mirrored"], 1000, 66, 123),
             (gun_battery(23), 300, 0, 93),
         ]:
             events, taken, returned, _ = spied(scene, horizon, ships)
             assert (len(events), taken, returned) == (count, 0, 0)
             assert splits(scene, horizon, ships) == (events, split)
+
+    @pytest.mark.parametrize(
+        "name, split, count",
+        [
+            ("gun", 45, 13),
+            ("battery", 93, 0),
+            ("apart", 93, 26),
+            ("blinker", 93, 12),
+            ("side", 93, 24),
+            ("mirrored", 123, 26),
+        ],
+    )
+    def test_split_and_event_counts(self, ships, name, split, count):
+        # The census compares each state with its last two saves and
+        # replays from the first the rule accepts.  It keeps the board's
+        # box of every generation since the older save, so no period
+        # lacks one: the gun replays from the state saved at 15, the
+        # mirrored guns from 63 at 123, the others from 63 at 93.
+        events, made = splits(SCENES[name], 400, ships)
+        assert (made, len(events)) == (split, count)
+        assert events == unjumped(SCENES[name], 400, ships)
 
 
 def replays(retired, backs=(), move=(0, 0), boxes=None):

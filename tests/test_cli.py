@@ -367,7 +367,7 @@ class TestEmissions:
 
     def test_a_million_generations_of_the_gun(self, capsys, tmp_path):
         # The gun's gliders leave the board, so its census repeats from
-        # generation 93 and replays a glider every 30 generations.
+        # generation 45 and replays a glider every 30 generations.
         path = tmp_path / "gun.rle"
         path.write_text(entry("gosper_gun").rle)
         argv = ["emissions", str(path), "--format", "machine", "--horizon"]
