@@ -255,10 +255,7 @@ def _retired(key, generation: int, phases: dict, scale: int) -> _Retired:
 
 def _alone(key: tuple[bytes, Cell], matched: dict, body: Box | None) -> bool:
     """Whether the matched body at key is _APART from the box of all other bodies."""
-    ship = _box(key[1], matched[key].extent)
-    if _gap(ship, body) < _APART:
-        return False
-    rest = body
+    ship, rest = _box(key[1], matched[key].extent), body
     for other, entry in matched.items():
         if other != key:
             rest = _union(rest, _box(other[1], entry.extent))
@@ -277,52 +274,46 @@ def _widens(a: Box, b: Box, w: Cell, u: Cell, apart: int) -> bool:
     return any(g >= apart and min(d * w[i], d * u[i]) >= 0 for g, d, i in sides)
 
 
-def _keeps_apart(ship: _Retired, retired, generation: int) -> bool:
-    """Whether ship, retiring at generation, stays _APART from every retired ship."""
-    for o in retired:
-        u = ship.velocity[0] - o.velocity[0], ship.velocity[1] - o.velocity[1]
-        hull = _shifted(ship.hull, u, generation)
-        if not _widens(hull, o.hull, (0, 0), u, _APART * ship.scale):
-            return False
-    return True
+def _clear(o: _Retired, ship: _Retired, w: Cell = (0, 0)) -> bool:
+    """Whether o from its retirement on, and each copy w on, stays _APART from ship.
+
+    In ship's frame o drifts by u, the velocity difference.
+    """
+    u = o.velocity[0] - ship.velocity[0], o.velocity[1] - ship.velocity[1]
+    hull = _shifted(o.hull, u, o.generation)
+    return _widens(hull, ship.hull, w, u, _APART * ship.scale)
 
 
-def _replay_keeps_apart(
-    retired, boxes, backs, saved_at: int, period: int, move: Cell
-) -> bool:
+def _replay_keeps_apart(retired, boxes, backs, saved_at: int, move: Cell) -> bool:
     """Whether replaying whole periods keeps every retired ship off the board.
 
-    boxes holds the board's box (or None) by generation, at least over
-    the last period when a ship is retired, and backs each ship put back
-    since saved_at and when; one retired before the period and back in
-    it refuses.  In a retired ship's frame, each later period moves on by
-    w = move − period·v the board's boxes, the box each ship retired and
-    back in the period swept, and the hull of each still off, which also
-    drifts by u, the velocity difference, after each copy retires; each
-    needs a side that widens along both.
+    boxes holds the board's box (or None) of each generation of the
+    period from saved_at, and backs each ship put back since saved_at and
+    when; one retired before the period and back in it refuses.  In a
+    retired ship's frame, each later period moves on by w = move − period·v
+    the board's boxes, the box each ship retired and back in the period
+    swept, and each ship retired in the period and still off, which
+    _clear follows; each needs a side that widens.
     """
-    boxes = [(t, box) for t, box in boxes if saved_at <= t < saved_at + period]
-    cycle = [(o, None) for o in retired if o.generation >= saved_at]
-    cycle += [(o, t) for o, t in backs if o.generation >= saved_at]
-    early = any(o.generation < saved_at < t for o, t in backs)
-    if early or (retired and len(boxes) < period):
+    if any(o.generation < saved_at < t for o, t in backs):
         return False
+    period = len(boxes)
     for ship in retired:
         (vx, vy), s = ship.velocity, ship.scale
         w = move[0] * s - period * vx, move[1] * s - period * vy
         hulls = [
-            (_shifted(tuple(c * s for c in box), ship.velocity, -t), (0, 0))
-            for t, box in boxes
+            _shifted(tuple(c * s for c in box), ship.velocity, -t)
+            for t, box in enumerate(boxes, saved_at)
             if box is not None
         ]
-        for o, back in cycle:
-            u = o.velocity[0] - vx, o.velocity[1] - vy
-            hull = _shifted(o.hull, u, o.generation)
-            if back is None:
-                hulls.append((hull, u))
-            else:
-                hulls.append((_union(hull, _shifted(o.hull, u, back)), (0, 0)))
-        if not all(_widens(h, ship.hull, w, u, _APART * s) for h, u in hulls):
+        for o, back in backs:
+            if o.generation >= saved_at:
+                u = o.velocity[0] - vx, o.velocity[1] - vy
+                ends = _shifted(o.hull, u, o.generation), _shifted(o.hull, u, back)
+                hulls.append(_union(*ends))
+        if not all(_widens(h, ship.hull, w, (0, 0), _APART * s) for h in hulls):
+            return False
+        if not all(_clear(o, ship, w) for o in retired if o.generation >= saved_at):
             return False
     return True
 
@@ -373,22 +364,22 @@ def detect_emissions(
     the events of P generations before, born P later and first sighted
     m away: those are replayed and the stepping stops.  The board's box
     of every generation and the ships put back are kept from the older
-    save on, so each period the replay rule reads is complete.
+    save on, and the replay rule reads the boxes of one whole period.
 
     Escaped ships leave the board, so the gun's census repeats too
     (period 30: its state saved at 15 is seen at 45, and the 23-gun
-    battery's saved at 63 at 93).  Cells 3 apart share no neighbour,
-    and ship hulls move linearly, so two boxes with a side 3 apart that
-    never shrinks stay apart.  So it is exact: a confirmed
-    ship 3 clear of all other bodies' box, with such a side to every
-    retired ship's hull, is taken off and evolves alone; before each
-    split, one within 2 of the board's box goes back with its confirmed
-    track, which can change no output meanwhile.  A replay needs no ship
-    retired before the period back in it, and such a side from every
-    retired ship's hull to the board's boxes of the period, the boxes
-    swept by ships retired and back in it, and the hulls of the ships
-    still off, moved on by whole periods and drifting at their own
-    velocities.  A board that keeps growing still steps every generation.
+    battery's saved at 63 at 93).  Cells 3 apart share no neighbour, and
+    ship hulls move linearly, so two boxes with a side 3 apart that
+    never shrinks stay apart.  So it is exact: a confirmed ship 3 clear
+    of all other bodies' box, with such a side to every retired ship's
+    hull, is taken off and evolves alone; before each split, one within
+    2 of the board's box goes back with its confirmed track, which can
+    change no output meanwhile.  A replay needs no ship retired before
+    the period back in it, and such a side from every retired ship's
+    hull to the board's boxes of the period, the boxes swept by ships
+    retired and back in it, and each ship retired in it and still off,
+    moved on by whole periods, the last drifting as in a retirement
+    (_clear).  A board that keeps growing still steps every generation.
 
     A board too wide for the packed fields, or at the signed 64-bit
     edge, raises CoordinateOverflowError at the generation it gets there.
@@ -420,7 +411,7 @@ def detect_emissions(
     # Ships off the board, keyed like tracks; the board's box of each
     # generation and the ships put back, and when, since the older save.
     retired: dict[tuple[bytes, Cell], _Retired] = {}
-    boxes: list[tuple[int, Box | None]] = []
+    boxes: list[Box | None] = []
     backs: list[tuple[_Retired, int]] = []
     # Brent's cycle search: the last two saved census states, older
     # first, each with when it was saved and its population; a new one
@@ -430,7 +421,7 @@ def detect_emissions(
     saves = [(0, board.population, _census_state(board, tracks, 0))]
     for generation in range(horizon + 1):
         box = board.box()
-        boxes.append((generation, box))
+        boxes.append(box)
         for key in list(retired):
             if _gap(_box(key[1], phases[key[0]].extent), box) < _APART:
                 board.put(*key)
@@ -441,11 +432,11 @@ def detect_emissions(
         if generation > saves[-1][0] and board.population in {n for _, n, _ in saves}:
             here = state, (cx, cy) = _census_state(board, tracks, generation)
             for saved_at, _, (saved, (sx, sy)) in saves:
-                period, move = generation - saved_at, (cx - sx, cy - sy)
+                span, move = boxes[saved_at - saves[0][0] : -1], (cx - sx, cy - sy)
                 if state == saved and _replay_keeps_apart(
-                    retired.values(), boxes, backs, saved_at, period, move
+                    retired.values(), span, backs, saved_at, move
                 ):
-                    replay = saved_at, period, move
+                    replay = saved_at, len(span), move
                     break
         if replay:
             saved_at, period, (mx, my) = replay
@@ -459,9 +450,9 @@ def detect_emissions(
             break
         if generation - saves[-1][0] == power:
             here = here or _census_state(board, tracks, generation)
+            del boxes[: saves[-1][0] - saves[0][0]]
             saves = [saves[-1], (generation, board.population, here)]
             power *= 2
-            boxes = [(t, box) for t, box in boxes if t >= saves[0][0]]
             backs = [(o, t) for o, t in backs if t >= saves[0][0]]
         matched, body = board.bodies(phases)
         following: dict[tuple[bytes, Cell], _Track] = {}
@@ -491,7 +482,7 @@ def detect_emissions(
                     confirmed.append((generation, event))
             if track.confirmed and _alone((shape, anchor), matched, body):
                 ship = _retired((shape, anchor), generation, phases, scale)
-                if _keeps_apart(ship, retired.values(), generation):
+                if all(_clear(ship, o) for o in retired.values()):
                     board.take(shape, anchor)
                     retired[_next(entry, anchor)] = ship
                     continue

@@ -9,6 +9,7 @@ its retirement of escaped ships against the same census with
 retirement patched off.
 """
 
+import functools
 import itertools
 from unittest import mock
 
@@ -204,9 +205,16 @@ class TestRecurrenceJump:
 
 
 def unretired(p, horizon, ships):
-    """The census with no ship ever retired, so every ship stays on the board."""
-    with mock.patch.object(detector, "_keeps_apart", lambda *args: False):
-        return detect_emissions(p, horizon, ships)
+    """The census with no ship ever retired, so every ship stays on the board.
+
+    Every retirement first asks _alone, and nothing else does, so the
+    replays run as in the census with no ship off the board.
+    """
+    take = mock.patch.object(Board, "take", autospec=True, side_effect=Board.take)
+    with mock.patch.object(detector, "_alone", lambda *args: False), take as taken:
+        events = detect_emissions(p, horizon, ships)
+    assert not taken.called
+    return events
 
 
 def spied(p, horizon, ships):
@@ -224,6 +232,30 @@ def spied(p, horizon, ships):
         with mock.patch.object(detector, "_replay_keeps_apart", replay):
             events = detect_emissions(p, horizon, ships)
     return events, taken.call_count, returned.call_count, refused
+
+
+def replay_calls(p, horizon, ships):
+    """Each call of the replay rule as (generation, saved_at, boxes), and the
+    board's box at each generation, read after each step of the census.
+
+    The ships' phase walks are made first, so every step is the census's.
+    """
+    step, check, read, calls = Board.step, detector._replay_keeps_apart, [], []
+    walks = {id(r): detector._phase_entries(r) for r in ships if r.kind == "ship"}
+
+    def stepped(board):
+        step(board)
+        read.append(board.box())
+
+    def replay(retired, boxes, backs, saved_at, move):
+        calls.append((len(read), saved_at, boxes))
+        return check(retired, boxes, backs, saved_at, move)
+
+    with mock.patch.object(detector, "_phase_entries", lambda r: walks[id(r)]):
+        with mock.patch.object(Board, "step", stepped):
+            with mock.patch.object(detector, "_replay_keeps_apart", replay):
+                detect_emissions(p, horizon, ships)
+    return calls, [Board(p).box(), *read]
 
 
 class TestRetirement:
@@ -357,14 +389,23 @@ class TestRetirement:
         assert (made, len(events)) == (split, count)
         assert events == unjumped(SCENES[name], 400, ships)
 
+    @pytest.mark.parametrize("name", SCENES)
+    def test_the_replay_rule_reads_one_whole_period(self, ships, name):
+        # Each call gets the board's box of every generation from the
+        # save up to the one it is made at, and no other.
+        calls, read = replay_calls(SCENES[name], 400, ships)
+        assert calls
+        for generation, saved_at, boxes in calls:
+            assert len(boxes) == generation - saved_at > 0
+            assert boxes == read[saved_at:generation]
 
-def replays(retired, backs=(), move=(0, 0), boxes=None):
+
+def replays(retired, backs=(), move=(0, 0)):
     """Whether a replay of period 30 from generation 10 keeps apart.
 
-    The board is empty through the period unless boxes are given.
+    The board is empty through the period.
     """
-    boxes = [(t, None) for t in range(10, 40)] if boxes is None else boxes
-    return detector._replay_keeps_apart(retired, boxes, list(backs), 10, 30, move)
+    return detector._replay_keeps_apart(retired, [None] * 30, list(backs), 10, move)
 
 
 def gap_at(ship, other, t):
@@ -389,6 +430,25 @@ def closest_copy(ship, other, period, move, copies=4, span=300):
     return least / s
 
 
+def retire(ships, corner, dx, dy, generation=0):
+    """A glider moving by (dx, dy) each period of 4, or an LWSS for a move
+    of 2 along an axis, retired at generation with its box corner at corner."""
+    phases = {s: e for r in ships for s, e in detector._phase_entries(r)}
+    [report] = [r for r in ships if r.displacement == (dx, dy) and r.period == 4]
+    key = (Board(report.phases[0]).shape()[0], corner)
+    return detector._retired(key, generation, phases, 4)
+
+
+MOVES = [(1, 1), (1, -1), (-1, 1), (-1, -1), (2, 0), (-2, 0), (0, 2), (0, -2)]
+
+
+@st.composite
+def retirements(draw):
+    """A glider or LWSS in any orientation, at a random corner and generation."""
+    corner = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+    return draw(corner), *draw(st.sampled_from(MOVES)), draw(st.integers(0, 40))
+
+
 class TestRetirementRules:
     """The hull gaps that keep retired ships apart, on hand-placed gliders.
 
@@ -399,22 +459,15 @@ class TestRetirementRules:
 
     @pytest.fixture()
     def glider(self, ships):
-        phases = {s: e for r in ships for s, e in detector._phase_entries(r)}
-
-        def retire(corner, dx, dy, generation=0):
-            [report] = [r for r in ships if (r.displacement, r.period) == ((dx, dy), 4)]
-            key = (Board(report.phases[0]).shape()[0], corner)
-            return detector._retired(key, generation, phases, 4)
-
-        return retire
+        return functools.partial(retire, ships)
 
     def test_ships_retire_only_if_they_never_close_in(self, glider):
         ahead = glider((0, 0), 1, 1)
-        assert detector._keeps_apart(glider((-10, -10), 1, 1), [ahead], 0)
-        assert detector._keeps_apart(glider((-20, 0), -1, 1), [ahead], 0)
+        assert detector._clear(glider((-10, -10), 1, 1), ahead)
+        assert detector._clear(glider((-20, 0), -1, 1), ahead)
         # Same velocity, too close; then head-on 20 apart, still 3 clear now.
-        assert not detector._keeps_apart(glider((-4, -4), 1, 1), [ahead], 0)
-        assert not detector._keeps_apart(glider((20, 20), -1, -1), [ahead], 0)
+        assert not detector._clear(glider((-4, -4), 1, 1), ahead)
+        assert not detector._clear(glider((20, 20), -1, -1), ahead)
 
     def test_a_side_that_widens_is_all_a_retirement_needs(self, glider):
         # In the older glider's frame a glider flying (-1, 1) drifts by
@@ -424,7 +477,7 @@ class TestRetirementRules:
         older = glider((0, 0), 1, -1)
         below = glider((8, 6), -1, 1)
         assert [gap_at(older, below, t) for t in (0, 1)] == [4.5, 4.0]
-        assert detector._keeps_apart(below, [older], 0)
+        assert detector._clear(below, older)
         assert min(gap_at(older, below, t) for t in range(300)) == 4
         # The trade: this one, retiring at 10, starts 3 to the right and
         # 2.5 below, so no side is 3 and widens, and it stays on the
@@ -432,7 +485,7 @@ class TestRetirementRules:
         # it never comes within 3.  Such a refusal costs only splits.
         close = glider((9, 3), -1, 1, generation=10)
         assert [gap_at(older, close, t) for t in (10, 11)] == [3, 3]
-        assert not detector._keeps_apart(close, [older], 10)
+        assert not detector._clear(close, older)
         assert min(gap_at(older, close, t) for t in range(10, 310)) == 3
 
     def test_replay_follows_the_copies_of_the_ships_retired_in_it(self, glider):
@@ -450,8 +503,6 @@ class TestRetirementRules:
         aside = glider((-60, 60), -1, 1, generation=10)
         assert replays([older, aside])
         assert closest_copy(older, aside, 30, (0, 0)) >= 3
-        # So do boxes missing for a generation of the period.
-        assert not replays([older], boxes=[(t, None) for t in range(11, 40)])
         assert replays([older])
 
     def test_a_ship_at_another_velocity_needs_a_side_that_widens(self, glider):
@@ -470,7 +521,7 @@ class TestRetirementRules:
         # while they drift, but each lands 7.5 cells further left.
         behind = glider((20, 14), 1, -1, generation=10)
         for ship, move in [(crossing, (15, 0)), (behind, (0, 0))]:
-            assert detector._keeps_apart(ship, [older], 10)
+            assert detector._clear(ship, older)
             assert not replays([older, ship], move=move)
             assert closest_copy(older, ship, 30, move) < 3
 
@@ -494,3 +545,22 @@ class TestRetirementRules:
         lwss = glider((0, -4), 2, 0, generation=12)
         assert not replays([older], [(lwss, 38)], move=(0, 15))
         assert closest_copy(older, lwss, 30, (0, 15), span=27) < 3
+
+    @given(
+        retirements(),
+        retirements(),
+        st.integers(1, 60),
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_a_clear_ship_never_comes_within_3(self, ships, a, b, period, move):
+        # Whatever _clear accepts, brute force finds at least 3 cells
+        # apart: the ship over 300 generations from its retirement, or
+        # each of four copies a period and move on over as long.
+        o, ship = retire(ships, *a), retire(ships, *b)
+        if detector._clear(o, ship):
+            span = range(o.generation, o.generation + 300)
+            assert min(gap_at(o, ship, t) for t in span) >= 3
+        (vx, vy), (mx, my) = ship.velocity, move
+        if detector._clear(o, ship, (mx * 4 - period * vx, my * 4 - period * vy)):
+            assert closest_copy(ship, o, period, move) >= 3
