@@ -9,7 +9,7 @@ lines that are byte-stable for identical inputs. ``verify`` and
 ``catalog --emit`` print the same text in both formats.
 
 Exit codes: 0 on success, 1 when a check or measurement fails, 2 for
-usage and file-format errors.
+usage and file-format errors, and for a stdout closed before the output.
 """
 
 from __future__ import annotations
@@ -588,8 +588,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except (UsageError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # nothing more can reach stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

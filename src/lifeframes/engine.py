@@ -10,11 +10,11 @@ keys per generation.  The box grows by at most a cell a side per
 generation, so the board counts the free cells to the nearer of the
 fields' and the 64-bit edge, re-centres the fields once they are used
 up, and refuses the 64-bit edge where iterating ``step`` would.  A
-board that recurs, in place or moved, jumps exactly over the whole
-periods left of a run.  ``step_n`` runs a board too wide for the fields
-with its wide empty bands squeezed.  The board also splits itself into
-bodies for the census from the same sort, looks them up by shape, and
-takes them off or puts them back, so the key format stays in this module.
+board whose shape (its keys from the box corner) recurs jumps exactly
+over the whole periods left of a run.  ``step_n`` squeezes the wide empty
+bands of a board too wide for the fields.  The board also splits itself
+into bodies for the census from the same sort, looks them up by shape,
+and takes them off or puts them back, so the key format stays here.
 """
 
 from __future__ import annotations
@@ -280,13 +280,12 @@ def _extent(keys: np.ndarray) -> Box:
     return x0, int(ys.min()), x1, int(ys.max())
 
 
-def _shift(old: np.ndarray, new: np.ndarray) -> Cell | None:
-    """The move in cells taking sorted keys old onto new, or None."""
-    # Relative to the box corner, as in ``Board.shape``: relative to the
-    # first key, keys could alias across the y field.
-    (ax, ay, _, _), (bx, by, _, _) = _extent(old), _extent(new)
-    same = np.array_equal(old - (ax * _FIELD + ay), new - (bx * _FIELD + by))
-    return (bx - ax, by - ay) if same else None
+def _shape(keys: np.ndarray, origin: Cell) -> tuple[bytes, Box]:
+    """The bytes of non-empty sorted keys relative to their box corner, equal
+    exactly for translates, and their box (min_x, min_y, max_x, max_y) at origin."""
+    # Relative to the first key, keys could alias across the y field.
+    (x0, y0, x1, y1), (ox, oy) = _extent(keys), origin
+    return (keys - (x0 * _FIELD + y0)).tobytes(), (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
 
 
 def _checked_count(n: int, name: str) -> int:
@@ -345,10 +344,10 @@ class Board:
     def step(self, generations: int = 1) -> None:
         """Advance in place; an empty board only counts the generations.
 
-        A board that recurs, in place or moved, jumps exactly over the
-        whole periods left, short of the 64-bit edge, by moving its origin
-        (Brent's cycle search, one saved board); the cycle's populations
-        passed the growth check.
+        A board whose shape recurs, in place or moved, jumps exactly over
+        the whole periods left, short of the 64-bit edge, by moving its
+        origin (Brent's cycle search, one saved board); the cycle's
+        populations passed the growth check.
         """
         end = self.generation + _checked_count(generations, "generations")
         if end < self.generation:
@@ -370,15 +369,15 @@ class Board:
                 message = f"population {size} exceeds {self._factor} x initial {count}"
                 raise ExplosiveGrowthError(f"{message} at generation {t}", t, size)
             if self.generation < end and self._keys.size == saved[0].size:
-                move = _shift(saved[0], self._keys)
-                if move is not None:
+                (shape, (sx, sy, _, _)), (now, box) = _shape(*saved), self.shape()
+                if shape == now:
                     period = self.generation - saved_at
-                    (sx, sy), (ox, oy) = saved[1], self._origin
-                    dx, dy = move[0] + ox - sx, move[1] + oy - sy
+                    dx, dy = box[0] - sx, box[1] - sy
                     cycles = (end - self.generation) // period
                     if dx or dy:  # a moving board jumps short of the 64-bit edge
-                        cycles = _clear_cycles(cycles, self.box(), (dx, dy), period)
+                        cycles = _clear_cycles(cycles, box, (dx, dy), period)
                         self._room = 0  # and checks it before the next step
+                    ox, oy = self._origin
                     self._origin = ox + cycles * dx, oy + cycles * dy
                     self.generation += cycles * period
             if self.generation - saved_at == power:
@@ -394,16 +393,10 @@ class Board:
         return x0 + ox, y0 + oy, x1 + ox, y1 + oy
 
     def shape(self) -> tuple[bytes, Box]:
-        """The canonical shape and the box (min_x, min_y, max_x, max_y).
-
-        Shapes are the bytes of the keys relative to the box corner, so
-        they are equal exactly when the cells match modulo translation.
-        """
-        box = self.box()
-        if box is None:
+        """The canonical shape and the box, as ``_shape`` makes them."""
+        if not self._keys.size:
             raise EmptyPatternError("an empty board has no shape")
-        x0, y0 = box[0] - self._origin[0], box[1] - self._origin[1]
-        return (self._keys - (x0 * _FIELD + y0)).tobytes(), box
+        return _shape(self._keys, self._origin)
 
     def _placed(self, shape: bytes, corner: Cell) -> tuple[np.ndarray, ...]:
         """The keys of shape at corner, where they sort, which are live; see put."""
@@ -542,10 +535,12 @@ def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Patter
         cells, r, back = q.cells, end - q.generation, None
         if q.cells and not _fits(box := bounding_box(q)):
             r = min(r, _check_headroom(box, q.generation))
-            while r and not _fits(bounding_box(Pattern(_squeeze(q.cells, r)[0])), r):
+            while r:  # halve r until its squeeze fits; else the board refuses q
+                squeezed = _squeeze(q.cells, r)
+                if _fits(bounding_box(Pattern(squeezed[0])), r):
+                    cells, back = squeezed
+                    break
                 r //= 2
-            if r:  # else no squeeze fits, and the board refuses q
-                cells, back = _squeeze(q.cells, r)
         board = Board(Pattern(cells, q.generation), population_factor=population_factor)
         board._start = p.generation, len(p.cells)
         try:

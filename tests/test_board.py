@@ -37,6 +37,7 @@ from lifeframes.engine import (
     COORD_MIN,
     Board,
     CoordinateOverflowError,
+    EmptyPatternError,
     ExplosiveGrowthError,
     Pattern,
     _evolve_py,
@@ -450,18 +451,37 @@ class TestRecurrenceJump:
         # both read 0, F - 5, yet they are not translates.
         field = 2**31
         old = np.array([5, field], dtype=np.int64)
-        assert engine._shift(old, np.array([0, field - 5], dtype=np.int64)) is None
-        # The move is in cells: 3 * field - 7 packed is (2, field - 7).
-        moved = old + 3 * field - 7
-        assert engine._shift(old, moved) == (2, field - 7)
+        new = np.array([0, field - 5], dtype=np.int64)
+        assert engine._shape(old, (0, 0))[0] != engine._shape(new, (0, 0))[0]
+        # The box is absolute: 3 * field - 7 packed is a move of (2, field - 7).
+        shape, box = engine._shape(old, (10, 20))
+        assert box == (10, 20, 11, 25)
+        assert engine._shape(old + 3 * field - 7, (10, 20)) == (
+            shape,
+            (12, field + 13, 13, field + 18),
+        )
 
     def test_single_steps_make_no_shape_compare(self, monkeypatch):
-        _forbid(monkeypatch, "_shift")
-        with pytest.raises(AssertionError, match="_shift"):
+        # The census and the ship detector step a board one generation at
+        # a time and ask for its shape between steps, never inside them.
+        step_ = Board.step
+
+        def bare_step(self, *args):
+            with monkeypatch.context() as patched:
+                _forbid(patched, "_shape")
+                return step_(self, *args)
+
+        monkeypatch.setattr(Board, "step", bare_step)
+        with pytest.raises(AssertionError, match="_shape"):
             step_n(catalog_pattern("glider"), 10)
+        gun = catalog_pattern("gosper_gun")
+        board = Board(gun)
+        for _ in range(120):
+            board.step()
+        assert board.pattern() == _stepped(gun, 120)
         assert detect_ship(catalog_pattern("glider")).period == 4
         assert detect_ship(_stepped(gun_battery(1), 59), max_period=40).period == 30
-        events = detect_emissions(catalog_pattern("gosper_gun"), 120, ship_catalog())
+        events = detect_emissions(gun, 120, ship_catalog())
         assert len(events) == 3
 
 
@@ -513,12 +533,12 @@ def _moved(cells, dx, dy):
 
 
 def _spy(monkeypatch, log):
-    """Log each re-centring (with its generation), kernel step and board compare."""
-    centre, evolve_np, evolve_py, shift = (
+    """Log each re-centring (with its generation), kernel step and shape."""
+    centre, evolve_np, evolve_py, shape = (
         Board._centre,
         engine._evolve_np,
         engine._evolve_py,
-        engine._shift,
+        engine._shape,
     )
 
     def spy_centre(self, box):
@@ -533,15 +553,15 @@ def _spy(monkeypatch, log):
         log.append(("py",))
         return evolve_py(*args)
 
-    def spy_shift(old, new):
-        move = shift(old, new)
-        log.append(("shift", move))
-        return move
+    def spy_shape(*args):
+        made = shape(*args)
+        log.append(("shape", made[0]))
+        return made
 
     monkeypatch.setattr(Board, "_centre", spy_centre)
     monkeypatch.setattr(engine, "_evolve_np", spy_np)
     monkeypatch.setattr(engine, "_evolve_py", spy_py)
-    monkeypatch.setattr(engine, "_shift", spy_shift)
+    monkeypatch.setattr(engine, "_shape", spy_shape)
 
 
 def _turned(cells, sign, shift):
@@ -641,9 +661,10 @@ class TestWindow:
         _spy(monkeypatch, log)
         assert step_n(p, 200) == expected
         assert _count(log, "centre") >= 2 and _count(log, "py") == 0
-        # The first board compare that matches is the jump: generation g,
-        # the saved board at g - 4, and a re-centring in between.
-        jump = next(i for i, e in enumerate(log) if e[0] == "shift" and e[1])
+        # A compare makes the saved board's shape, then the board's; the
+        # first pair that matches is the jump: generation g, the saved
+        # board at g - 4, and a re-centring in between.
+        jump = next(i for i, e in enumerate(log) if e[0] == "shape" and log[i - 1] == e)
         g = _count(log[:jump], "np")
         assert any(e == ("centre", t) for e in log[:jump] for t in range(g - 4, g))
         assert _count(log, "np") < 200
@@ -702,6 +723,8 @@ class TestWindow:
         assert (board.population, board.box()) == (0, None)
         assert board.pattern() == Pattern(frozenset(), 5)
         assert board.bodies({}) == ({}, None)
+        with pytest.raises(EmptyPatternError, match="no shape"):
+            board.shape()
         # A glider put on the dead board, 2**40 away, steps on as usual.
         glider = catalog_pattern("glider")
         x, y = corner[0] - 2**40 if corner[0] > 0 else corner[0] + 2**40, corner[1]

@@ -1,7 +1,9 @@
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -545,3 +547,32 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "life_x=7/10" in result.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_stdout_is_a_usage_error(tmp_path, unbuffered):
+    # A reader gone before the first write, as in ``| head -0``: exit 2
+    # with one error line, whether stdout is buffered or not.
+    gun = tmp_path / "gun.rle"
+    gun.write_text(entry("gosper_gun").rle)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lifeframes.cli", "emissions", str(gun)]
+            + ["--horizon", "300", "--format", "machine"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1

@@ -87,10 +87,13 @@ def test_empty_pattern_stays_empty():
 def test_bounding_box_of_empty_raises():
     with pytest.raises(EmptyPatternError):
         bounding_box(Pattern())
+    with pytest.raises(EmptyPatternError):
+        canonicalize(Pattern())
 
 
 def test_bounding_box_of_block():
     assert bounding_box(Pattern(BLOCK)) == (0, 0, 1, 1)
+    assert (1, 1) in Pattern(BLOCK) and (2, 1) not in Pattern(BLOCK)
 
 
 def test_step_n_rejects_negative():
@@ -173,7 +176,8 @@ def test_board_wider_than_the_fields_takes_the_python_path(monkeypatch, axis, co
     gap, n = 2**31, 8
     board = Pattern(frozenset(_two_gliders(gap, axis, corner)))
     assert step_n(board, n).cells == _dense_two_gliders(gap, axis, corner, n)
-    assert squeezes
+    # One chunk of n generations, squeezed once.
+    assert squeezes == [n]
 
 
 @pytest.mark.parametrize("n", [1, 8])

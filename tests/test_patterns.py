@@ -134,6 +134,8 @@ class TestParseRle:
     def test_text_after_terminator_is_ignored(self):
         doc = parse_rle("x = 1, y = 1, rule = B3/S23\no! trailing chatter\n")
         assert doc.cells == {(0, 0)}
+        doc = parse_rle("x = 1, y = 1, rule = B3/S23\no!\n3o$bo!\nchatter\n")
+        assert doc.cells == {(0, 0)}
 
     def test_empty_document(self):
         doc = parse_rle("x = 0, y = 0, rule = B3/S23\n!\n")

@@ -68,6 +68,10 @@ class TestCarrierBullet:
             bullet_jumps=default.bullet_jumps,
         )
         assert explicit.v12 == default.v12
+        # An explicit bullet schedule alone: the carrier jumps earliest-first.
+        bullet_only = run_carrier_bullet(12, 5, 4, bullet_jumps={5, 7, 9, 11})
+        assert bullet_only.carrier_jumps == default.carrier_jumps
+        assert bullet_only.v12 == default.v12
 
     def test_velocity_ignores_which_moves_were_picked(self):
         rng = random.Random(7)
@@ -85,6 +89,10 @@ class TestCarrierBullet:
                 total, n1, n2, carrier_jumps=carrier, bullet_jumps=bullet
             )
             assert run.v12 == run_carrier_bullet(total, n1, n2).v12
+
+    def test_rejects_a_game_of_no_moves(self):
+        with pytest.raises(ScheduleError, match="at least one move"):
+            run_carrier_bullet(0, 0, 0)
 
     def test_overcommitted_schedule(self):
         with pytest.raises(ScheduleError):
