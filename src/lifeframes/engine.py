@@ -220,12 +220,14 @@ def _unpack(keys: np.ndarray, origin: Cell) -> frozenset[Cell]:
 
 
 def _neighbor_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbor keys of sorted keys, sorted, and the argsort (i is cell i % n).
+    """The neighbor keys of n sorted keys, sorted, and the index map order.
 
-    Each neighbor offset adds a sorted run, so a stable sort merges them.
+    Sorted neighbor i is entry order[i] of the 8 x n offset-major outer
+    sum: the neighbor of cell order[i] % n at offset order[i] // n.  Each
+    neighbor offset adds a sorted run, so a stable sort merges them.
     """
     neighbors = np.add.outer(_PACKED_OFFSETS_NP, keys).ravel()
-    order = np.argsort(neighbors, kind="stable")
+    order = neighbors.argsort(kind="stable")
     return neighbors[order], order
 
 
@@ -237,11 +239,16 @@ def _evolve_np(keys: np.ndarray, neighbors: np.ndarray | None = None) -> np.ndar
     if neighbors is None:
         neighbors = np.add.outer(_PACKED_OFFSETS_NP, keys).ravel()
         neighbors.sort(kind="stable")
-    last = np.flatnonzero(np.append(neighbors[1:] != neighbors[:-1], True))
-    counts = np.diff(last, prepend=-1)
+    ends = np.empty(neighbors.size, dtype=bool)
+    np.not_equal(neighbors[1:], neighbors[:-1], out=ends[:-1])
+    ends[-1] = True
+    last = ends.nonzero()[0]
+    counts = np.empty_like(last)
+    counts[0] = last[0] + 1
+    np.subtract(last[1:], last[:-1], out=counts[1:])
     cells = neighbors[last]
     # A key's neighbor key + _FIELD + 1 sorts after it, so at < cells.size.
-    at = np.searchsorted(cells, keys)
+    at = cells.searchsorted(keys)
     live = at[cells[at] == keys]
     keep = counts == 3
     keep[live[counts[live] == 2]] = True
@@ -253,18 +260,20 @@ def _component_labels(keys: np.ndarray, sort: tuple) -> np.ndarray:
 
     Distinct cells share a neighbor cell exactly when their Chebyshev
     distance is 1 or 2, the merge radius, so each run of sort, that is
-    ``_neighbor_sort(keys)``, joins its cells.  Roots are
-    hooked to smaller joined roots and pointer jumping flattens the trees
-    until no joined pair differs; a body's smallest index is never hooked.
+    ``_neighbor_sort(keys)``, joins its cells.  Sorted neighbor i belongs
+    to cell order[i] % n, read without a division from the n labels
+    repeated once per offset.  Roots are hooked to smaller joined roots
+    and pointer jumping flattens the trees until no joined pair differs;
+    a body's smallest index is never hooked.
     """
     neighbors, order = sort
     labels = np.arange(keys.size)
-    source = np.tile(labels, 8)[order]
-    joined = np.flatnonzero(neighbors[1:] == neighbors[:-1])
+    source = np.concatenate((labels,) * 8)[order]
+    joined = (neighbors[1:] == neighbors[:-1]).nonzero()[0]
     a, b = src, dst = source[joined], source[joined + 1]
     while a.size:
         labels[np.maximum(a, b)] = np.minimum(a, b)
-        while not np.array_equal(jumped := labels[labels], labels):
+        while not ((jumped := labels[labels]) == labels).all():
             labels = jumped
         a, b = labels[src], labels[dst]
         differ = a != b
@@ -275,9 +284,9 @@ def _component_labels(keys: np.ndarray, sort: tuple) -> np.ndarray:
 def _extent(keys: np.ndarray) -> Box:
     """(min_x, min_y, max_x, max_y) of non-empty sorted keys, in field cells."""
     # Keys sort x-major, so the first and last keys hold the x range.
-    x0, x1 = int(keys[0] >> _FIELD_BITS), int(keys[-1] >> _FIELD_BITS)
+    x0, x1 = int(keys[0]) >> _FIELD_BITS, int(keys[-1]) >> _FIELD_BITS
     ys = keys & (_FIELD - 1)
-    return x0, int(ys.min()), x1, int(ys.max())
+    return x0, int(np.minimum.reduce(ys)), x1, int(np.maximum.reduce(ys))
 
 
 def _shape(keys: np.ndarray, origin: Cell) -> tuple[bytes, Box]:
@@ -412,7 +421,7 @@ class Board:
             raise ValueError(f"a body at {corner} is outside the packed fields")
         self._room = min(self._room, _room(body, self._origin))
         keys = keys + ((x - self._origin[0]) * _FIELD + y - self._origin[1])
-        at = np.searchsorted(self._keys, keys)
+        at = self._keys.searchsorted(keys)
         # Keys are never negative, so -1 stands past the last key.
         return keys, at, np.append(self._keys, -1)[at] == keys
 
@@ -453,13 +462,16 @@ class Board:
         keys = self._keys
         self._sorted = keys, *_neighbor_sort(keys)
         labels = _component_labels(keys, self._sorted[1:])
-        order = np.argsort(labels, kind="stable")
+        order = labels.argsort(kind="stable")
         grouped = keys[order]
         sorted_labels = labels[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
-        )
-        sizes = np.diff(np.append(starts, keys.size))
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        sizes = np.empty_like(starts)
+        sizes[-1] = keys.size - starts[-1]
+        np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
         # Keys sort x-major, so a body's first and last keys hold its x
         # range; its y range needs a reduction.
         xs = grouped >> _FIELD_BITS
@@ -467,14 +479,15 @@ class Board:
         min_x, max_x = xs[starts], xs[starts + sizes - 1]
         min_y = np.minimum.reduceat(ys, starts)
         max_y = np.maximum.reduceat(ys, starts)
+        # Each key from its body's corner key, as ``shape()`` makes them.
+        relative = grouped - ((min_x << _FIELD_BITS) + min_y).repeat(sizes)
         ox, oy = self._origin
         is_body = np.ones(starts.size, dtype=bool)
         for size in {len(shape) // 8 for shape in table}:
-            picked = np.flatnonzero(sizes == size)
+            picked = (sizes == size).nonzero()[0]
             if picked.size == 0:
                 continue
-            corner = (min_x[picked] << _FIELD_BITS) + min_y[picked]
-            rows = grouped[starts[picked, None] + np.arange(size)] - corner[:, None]
+            rows = relative[np.add.outer(starts[picked], np.arange(size))]
             shapes = rows.view(f"V{8 * size}").ravel().tolist()
             for i, shape, x, y in zip(
                 picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
@@ -486,10 +499,10 @@ class Board:
         if not is_body.any():
             return matched, None
         return matched, (
-            int(min_x[is_body].min()) + ox,
-            int(min_y[is_body].min()) + oy,
-            int(max_x[is_body].max()) + ox,
-            int(max_y[is_body].max()) + oy,
+            int(np.minimum.reduce(min_x[is_body])) + ox,
+            int(np.minimum.reduce(min_y[is_body])) + oy,
+            int(np.maximum.reduce(max_x[is_body])) + ox,
+            int(np.maximum.reduce(max_y[is_body])) + oy,
         )
 
     def pattern(self) -> Pattern:

@@ -149,6 +149,8 @@ class TestComponentLabels:
     @given(merge_edge_cells())
     @example(step_n(gun_battery(23), 60).cells)
     @example(step_n(catalog_pattern("gosper_gun"), 2000).cells)
+    @example(frozenset({(0, 0)}))
+    @example(frozenset((3 * i, 3 * j) for i in range(3) for j in range(3)))  # none join
     @settings(max_examples=200, deadline=None)
     def test_partition_matches_the_reference(self, cells):
         origin = _origin(cells)

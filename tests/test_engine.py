@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import evolve_dense
@@ -283,6 +283,20 @@ def test_step_n_agrees_with_repeated_step(cells, n):
 @settings(max_examples=80, deadline=None)
 def test_agrees_with_dense_reference(cells, n):
     assert step_n(Pattern(cells), n).cells == evolve_dense(cells, n)
+
+
+# Both branches of the packed step: the census hands it the split's sort.
+@given(st.one_of(cells_strategy(max_coord=11, max_size=36), crowded_cells(12)).filter(bool))
+@example(frozenset({(0, 0)}))
+@example(BLOCK)
+@example(frozenset({(0, 0), (1, 0), (5, 5)}))  # dies out
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_packed_step_with_and_without_the_neighbor_sort(cells):
+    # The margin keeps the neighbor keys of cells from 0 up in the fields.
+    keys = engine._pack(cells, (-1, -1))
+    want = engine._pack(engine._evolve_py(cells), (-1, -1)).tolist()
+    assert engine._evolve_np(keys).tolist() == want
+    assert engine._evolve_np(keys, engine._neighbor_sort(keys)[0]).tolist() == want
 
 
 def test_dense_reference_sample_sweep():
