@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detector import ShipReport, detect_ship
-from .engine import Cell, Pattern, _checked_count
+from .engine import Cell, Pattern, _checked_count, canonicalize
 from .patterns import parse_rle
 
 __all__ = [
@@ -106,23 +106,25 @@ def named_ship_catalog(max_period: int = 16) -> list[tuple[str, ShipReport]]:
 
     Symmetric orientations collapse to one report; the glider keeps
     four headings, so the census can recognize a ship whichever way
-    it flies.
+    it flies.  An orientation that is already a phase of a kept report
+    would measure that report's phases again, so it is not measured.
     """
     out: list[tuple[str, ShipReport]] = []
-    seen: set[frozenset[frozenset[Cell]]] = set()
+    seen: set[frozenset[Cell]] = set()  # every phase of the kept reports
     for e in CATALOG:
         base = parse_rle(e.rle).to_pattern()
         base_report = detect_ship(base, max_period)
         if base_report is None or base_report.kind != "ship":
             continue
         for m in _ORIENTATIONS:
-            report = detect_ship(Pattern(_transform(base.cells, m)), max_period)
+            turned = canonicalize(Pattern(_transform(base.cells, m)))[0]
+            if turned.cells in seen:
+                continue
+            identity = m == _ORIENTATIONS[0]
+            report = base_report if identity else detect_ship(turned, max_period)
             if report is None:
                 raise RuntimeError(f"orientation of {e.name} failed to recur")
-            key = frozenset(ph.cells for ph in report.phases)
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.update(ph.cells for ph in report.phases)
             out.append((e.name, report))
     return out
 

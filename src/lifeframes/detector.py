@@ -22,7 +22,7 @@ until it comes near it again, and a board whose ships escape repeats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (
@@ -33,6 +33,7 @@ from .engine import (
     EmptyPatternError,
     ExplosiveGrowthError,
     Pattern,
+    _cells_shape,
     _checked_count,
     translate,
 )
@@ -174,7 +175,7 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     out = []
     for i, phase in enumerate(report.phases):
         (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) = walk[i : i + 2]
-        if shape != Board(phase).shape()[0]:
+        if shape != _cells_shape(phase):
             raise ValueError("catalog entry phases are out of order")
         entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
         out.append((shape, entry))
@@ -336,9 +337,11 @@ def _census_state(board: Board, tracks: dict, generation: int) -> tuple[tuple, C
 
 
 def _moved(event: EmissionEvent, generations: int, dx: int, dy: int) -> EmissionEvent:
-    """The same event, born generations later and first sighted (dx, dy) away."""
-    (x, y), born = event.first_sighting, event.birth_generation + generations
-    return replace(event, birth_generation=born, first_sighting=(x + dx, y + dy))
+    """event born generations later and first sighted (dx, dy) away, unchecked."""
+    (x, y), copy = event.first_sighting, object.__new__(EmissionEvent)
+    born, at = event.birth_generation + generations, (x + dx, y + dy)
+    vars(copy).update(vars(event), birth_generation=born, first_sighting=at)
+    return copy
 
 
 def detect_emissions(
@@ -362,9 +365,9 @@ def detect_emissions(
     Brent's search, made at generations 2^k − 1.  Once it repeats one
     of them with period P and move m, each later generation confirms
     the events of P generations before, born P later and first sighted
-    m away: those are replayed and the stepping stops.  The board's box
-    of every generation and the ships put back are kept from the older
-    save on, and the replay rule reads the boxes of one whole period.
+    m away: those are replayed as unchecked copies and the stepping stops.
+    The board's box of every generation and the ships put back are kept
+    from the older save on, and the replay rule reads one whole period of boxes.
 
     Escaped ships leave the board, so the gun's census repeats too
     (period 30: its state saved at 15 is seen at 45, and the 23-gun

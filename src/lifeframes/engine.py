@@ -273,7 +273,7 @@ def _component_labels(keys: np.ndarray, sort: tuple) -> np.ndarray:
     a, b = src, dst = source[joined], source[joined + 1]
     while a.size:
         labels[np.maximum(a, b)] = np.minimum(a, b)
-        while not ((jumped := labels[labels]) == labels).all():
+        while not np.logical_and.reduce((jumped := labels[labels]) == labels):
             labels = jumped
         a, b = labels[src], labels[dst]
         differ = a != b
@@ -295,6 +295,14 @@ def _shape(keys: np.ndarray, origin: Cell) -> tuple[bytes, Box]:
     # Relative to the first key, keys could alias across the y field.
     (x0, y0, x1, y1), (ox, oy) = _extent(keys), origin
     return (keys - (x0 * _FIELD + y0)).tobytes(), (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+
+
+def _cells_shape(p: Pattern) -> bytes:
+    """p's shape as ``Board.shape()`` makes it, without a board; like a board,
+    CoordinateOverflowError if its box fills the packed fields."""
+    if not _fits(box := bounding_box(p)):
+        raise CoordinateOverflowError(f"box {box} fills the packed fields")
+    return _pack(p.cells, box[:2]).tobytes()
 
 
 def _checked_count(n: int, name: str) -> int:
@@ -330,6 +338,7 @@ class Board:
         self._centre(bounding_box(p) if p.cells else (0, 0, 0, 0))
         self._keys = _pack(p.cells, self._origin)
         self._sorted = None, None, None  # keys that bodies() split, their sort
+        self._listed = None, None  # the table bodies() last read, its sizes
         self._start = (p.generation, len(p.cells))
         self._factor = population_factor
 
@@ -428,7 +437,7 @@ class Board:
     def take(self, shape: bytes, corner: Cell) -> None:
         """Take shape (from ``shape()``) at corner off; ValueError unless all live."""
         _, at, live = self._placed(shape, corner)
-        if not live.all():
+        if not np.logical_and.reduce(live):
             raise ValueError(f"the body at {corner} is not all live")
         self._keys = np.delete(self._keys, at)
 
@@ -438,7 +447,7 @@ class Board:
         A body with no room re-centres the fields; one too far raises ValueError.
         """
         keys, at, live = self._placed(shape, corner)
-        if live.any():
+        if np.logical_or.reduce(live):
             raise ValueError(f"the body at {corner} overlaps live cells")
         self._keys = np.insert(self._keys, at, keys)
 
@@ -449,16 +458,22 @@ class Board:
 
         Bodies are the cells joined within Chebyshev distance
         MERGE_RADIUS.  table maps shapes, as ``shape()`` makes them, to
-        values; a shape holds 8 bytes a cell, so the bodies of each listed
-        size are looked up in one batch.  Returns the values of the
-        matched bodies keyed by (shape, box corner), and the union box of
-        all other bodies (None when there are none).
+        values; a shape holds 8 bytes a cell, so one pass picks the bodies
+        of a listed size and slices their shapes from one byte string (the
+        sizes are read once per table object, which must not change).
+        Returns the values of the matched bodies keyed by (shape, box
+        corner), and the union box of all other bodies (None if none).
         """
         matched: dict[tuple[bytes, Cell], V] = {}
         if self._keys.size == 0:
             return matched, None
         if self._room < 1:
             self._centre(self.box())
+        if self._listed[0] is not table:  # flags by size; the last is for larger
+            sizes = [len(shape) // 8 for shape in table]
+            self._listed = table, np.zeros(max(sizes, default=0) + 2, dtype=bool)
+            self._listed[1][sizes] = True
+        listed = self._listed[1]
         keys = self._keys
         self._sorted = keys, *_neighbor_sort(keys)
         labels = _component_labels(keys, self._sorted[1:])
@@ -480,23 +495,19 @@ class Board:
         min_y = np.minimum.reduceat(ys, starts)
         max_y = np.maximum.reduceat(ys, starts)
         # Each key from its body's corner key, as ``shape()`` makes them.
-        relative = grouped - ((min_x << _FIELD_BITS) + min_y).repeat(sizes)
-        ox, oy = self._origin
+        relative = (grouped - ((min_x << _FIELD_BITS) + min_y).repeat(sizes)).tobytes()
+        picked = listed[np.minimum(sizes, listed.size - 1)].nonzero()[0]
+        begin, ox, oy = 8 * starts[picked], *self._origin
+        spans = zip(begin.tolist(), (begin + 8 * sizes[picked]).tolist())
+        corners = zip(min_x[picked].tolist(), min_y[picked].tolist())
         is_body = np.ones(starts.size, dtype=bool)
-        for size in {len(shape) // 8 for shape in table}:
-            picked = (sizes == size).nonzero()[0]
-            if picked.size == 0:
-                continue
-            rows = relative[np.add.outer(starts[picked], np.arange(size))]
-            shapes = rows.view(f"V{8 * size}").ravel().tolist()
-            for i, shape, x, y in zip(
-                picked.tolist(), shapes, min_x[picked].tolist(), min_y[picked].tolist()
-            ):
-                value = table.get(shape)
-                if value is not None:
-                    matched[(shape, (x + ox, y + oy))] = value
-                    is_body[i] = False
-        if not is_body.any():
+        for i, (a, b), (x, y) in zip(picked.tolist(), spans, corners):
+            shape = relative[a:b]
+            value = table.get(shape)
+            if value is not None:
+                matched[(shape, (x + ox, y + oy))] = value
+                is_body[i] = False
+        if not np.logical_or.reduce(is_body):
             return matched, None
         return matched, (
             int(np.minimum.reduce(min_x[is_body])) + ox,

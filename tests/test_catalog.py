@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lifeframes.catalog import (
+    _ORIENTATIONS,
     CATALOG,
     catalog_pattern,
     entry,
@@ -13,7 +15,7 @@ from lifeframes.catalog import (
     ship_catalog,
 )
 from lifeframes.detector import detect_ship
-from lifeframes.engine import step_n
+from lifeframes.engine import Pattern, step_n
 
 EXPECTED_POPULATIONS = {
     "glider": 5,
@@ -56,6 +58,35 @@ def test_named_ship_catalog_covers_eight_orientations():
     assert velocities == diagonal | axial
     assert {name for name, _ in named} == {"glider", "lwss"}
     assert all(report.kind == "ship" for _, report in named)
+
+
+def measured_everything(max_period):
+    """Every orientation of every catalog ship measured, repeats dropped."""
+    out, seen = [], set()
+    for item in CATALOG:
+        base = catalog_pattern(item.name)
+        report = detect_ship(base, max_period)
+        if report is None or report.kind != "ship":
+            continue
+        for a, b, c, d in _ORIENTATIONS:
+            turned = frozenset((a * x + b * y, c * x + d * y) for x, y in base.cells)
+            report = detect_ship(Pattern(turned), max_period)
+            key = frozenset(ph.cells for ph in report.phases)
+            if key not in seen:
+                seen.add(key)
+                out.append((item.name, report))
+    return out
+
+
+@pytest.mark.parametrize("max_period, calls", [(16, 12), (4, 12), (3, 6)])
+def test_named_ship_catalog_measures_each_new_orientation_once(max_period, calls):
+    # The six entries, then the three other headings of the glider and of
+    # the LWSS: an orientation that is a phase of a kept report is skipped,
+    # and the unturned one reuses its entry's report.
+    with mock.patch("lifeframes.catalog.detect_ship", wraps=detect_ship) as measured:
+        named = named_ship_catalog(max_period)
+    assert measured.call_count == calls
+    assert named == measured_everything(max_period)
 
 
 def test_ship_catalog_matches_named_listing():

@@ -26,8 +26,16 @@ from lifeframes.catalog import (
     gun_battery,
     ship_catalog,
 )
-from lifeframes.detector import _Track, detect_emissions
-from lifeframes.engine import Board, Pattern, translate
+from lifeframes.detector import EmissionEvent, _Track, detect_emissions
+from lifeframes.engine import (
+    COORD_MAX,
+    Board,
+    CoordinateOverflowError,
+    Pattern,
+    bounding_box,
+    step_n,
+    translate,
+)
 
 GLIDER = catalog_pattern("glider").cells
 
@@ -178,6 +186,18 @@ class TestRecurrenceJump:
         assert detect_emissions(guns, 200, ships) == (
             census_reference.detect_emissions(guns, 200, ships)
         )
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_replayed_events_equal_stepped_ones(self, ships, name):
+        # Every scene replays from generation 123 at the latest, with
+        # period 30, so 300 is at least three periods past its replay.
+        events, made = splits(SCENES[name], 300, ships)
+        assert made <= 123
+        stepped = unjumped(SCENES[name], 300, ships)
+        assert events == stepped
+        assert list(map(hash, events)) == list(map(hash, stepped))
+        assert list(map(repr, events)) == list(map(repr, stepped))
+        assert all(type(e) is EmissionEvent for e in events)
 
     def test_state_holds_what_later_events_read(self):
         glider = catalog_pattern("glider")
@@ -564,3 +584,30 @@ class TestRetirementRules:
         (vx, vy), (mx, my) = ship.velocity, move
         if detector._clear(o, ship, (mx * 4 - period * vx, my * 4 - period * vy)):
             assert closest_copy(ship, o, period, move) >= 3
+
+
+def gun_near_the_edge():
+    """The catalog gun with its box 600 cells from COORD_MAX on both axes.
+
+    Its gliders fly to (+1/4, +1/4), towards that corner.
+    """
+    gun = catalog_pattern("gosper_gun")
+    _, _, x1, y1 = bounding_box(gun)
+    return translate(gun, COORD_MAX - 600 - x1, COORD_MAX - 600 - y1)
+
+
+def test_step_n_refuses_the_gun_at_the_64_bit_edge():
+    message = "at generation 2416 reaches the edge"
+    with pytest.raises(CoordinateOverflowError, match=message):
+        step_n(gun_near_the_edge(), 3000)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the census takes escaped gliders off the board, so its board never "
+    "reaches the edge that iterated step reaches at generation 2416 (ROADMAP item 11)",
+)
+def test_the_census_refuses_where_step_n_does(ships):
+    with pytest.raises(CoordinateOverflowError):
+        detect_emissions(gun_near_the_edge(), 3000, ships)

@@ -16,9 +16,11 @@ from lifeframes.detector import (
     detect_ship,
 )
 from lifeframes.engine import (
+    Board,
     CoordinateOverflowError,
     EmptyPatternError,
     Pattern,
+    _cells_shape,
     _component_labels,
     _neighbor_sort,
     _pack,
@@ -172,6 +174,75 @@ class TestComponentLabels:
                 assert len(set(labels.tolist())) == count
 
 
+def looked_up(bodies, table):
+    """Board.bodies' result from reference bodies: each body whose size some
+    listed shape has is looked up by its shape, the rest make the union box."""
+    sizes, matched, rest = {len(shape) // 8 for shape in table}, {}, None
+    for body in bodies:
+        shape, box = Board(Pattern(body)).shape()
+        if len(body) in sizes and shape in table:
+            matched[(shape, box[:2])] = table[shape]
+        elif rest is None:
+            rest = box
+        else:
+            rest = (*map(min, rest[:2], box[:2]), *map(max, rest[2:], box[2:]))
+    return matched, rest
+
+
+SMALL = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1)
+
+
+class TestBodyLookup:
+    """Board.bodies picks and looks up the bodies of every listed size in one pass."""
+
+    @given(merge_edge_cells(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_size_lookup(self, cells, data):
+        # Each table lists some of the board's own bodies and up to four
+        # small shapes, which may be of sizes the board lacks; the board
+        # keeps its sizes per table, so a second table is looked up too.
+        sx, sy = data.draw(st.tuples(*[st.integers(-(2**40), 2**40)] * 2))
+        cells = frozenset((x + sx, y + sy) for x, y in cells)
+        bodies = sorted(clusters(cells), key=sorted)
+        board = Board(Pattern(cells))
+        for _ in range(2):
+            flags = st.lists(st.booleans(), min_size=len(bodies), max_size=len(bodies))
+            listed = data.draw(flags)
+            extra = data.draw(st.lists(SMALL, max_size=4))
+            table = {Board(Pattern(e)).shape()[0]: -1 - i for i, e in enumerate(extra)}
+            for i, body in enumerate(bodies):
+                if listed[i]:
+                    table[Board(Pattern(body)).shape()[0]] = i
+            assert board.bodies(table) == looked_up(bodies, table)
+        for body in bodies:
+            assert _cells_shape(Pattern(body)) == Board(Pattern(body)).shape()[0]
+
+    def test_sizes_absent_larger_bodies_and_no_match(self):
+        ships = [r for r in ship_catalog() if r.kind == "ship"]
+        phases = {Board(ph).shape()[0]: r for r in ships for ph in r.phases}
+        listed = {len(ph) for r in ships for ph in r.phases}
+        beehive = frozenset({(1, 0), (2, 0), (0, 1), (3, 1), (1, 2), (2, 2)})
+        tables = [phases, {}, {Board(Pattern(beehive)).shape()[0]: 1}]
+        # Blocks are smaller than any ship phase and the shuttles larger.
+        gun = step_n(catalog_pattern("gosper_gun"), 100)
+        for p in [gun, step_n(gun_battery(3), 60)]:
+            bodies = clusters(p.cells)
+            sizes = sorted(map(len, bodies))
+            assert sizes[0] < min(listed) < max(listed) < sizes[-1]
+            for table in tables:
+                assert Board(p).bodies(table) == looked_up(bodies, table)
+        assert Board(gun).bodies(tables[2]) == ({}, bounding_box(gun))
+
+
+def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
+    gaps = 2**31 - 3, 2**31 - 2
+    fits, wide = [Pattern(frozenset({(0, 0), (gap, 1)})) for gap in gaps]
+    assert _cells_shape(fits) == Board(fits).shape()[0]
+    for make in (Board, _cells_shape):
+        with pytest.raises(CoordinateOverflowError, match="fills the packed fields"):
+            make(wide)
+
+
 class TestEmissionEvent:
     def test_ground_velocity_is_light_bounded(self):
         ship = detect_ship(catalog_pattern("glider"))
@@ -182,6 +253,17 @@ class TestEmissionEvent:
                 ground_velocity=(F(2), F(0)),
                 first_sighting=(0, 0),
             )
+
+    @pytest.mark.parametrize(
+        "velocity", [(F(2), F(0)), (F(0), F(-5, 4)), (F(1) + F(1, 10**9), F(1))]
+    )
+    def test_the_check_holds_once_a_census_replays(self, ships, velocity):
+        # Replayed events are copied without the check; the constructor
+        # keeps it.
+        assert len(detect_emissions(catalog_pattern("gosper_gun"), 300, ships)) == 9
+        ship = detect_ship(catalog_pattern("glider"))
+        with pytest.raises(ValueError, match="exceeds the speed of light"):
+            EmissionEvent(0, ship, velocity, (0, 0))
 
 
 class TestDetectEmissions:
