@@ -109,9 +109,9 @@ def detect_ship(
     settle).  Raises ExplosiveGrowthError when the population grows
     past population_factor times the initial count, or the bounding
     box past max_extent on a side, before any recurrence; a max_extent
-    that is nan, infinite or below 1 raises ValueError.  A board too
-    wide for the packed fields, or at the signed 64-bit edge, raises
-    CoordinateOverflowError at the generation it gets there.
+    that is nan, infinite or below 1 raises ValueError.  A board that no
+    squeeze fits in the packed fields, or at the signed 64-bit edge,
+    raises CoordinateOverflowError at the generation it gets there.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
@@ -384,8 +384,8 @@ def detect_emissions(
     moved on by whole periods, the last drifting as in a retirement
     (_clear).  A board that keeps growing still steps every generation.
 
-    A board too wide for the packed fields, or at the signed 64-bit
-    edge, raises CoordinateOverflowError at the generation it gets there.
+    A board that no squeeze fits, or at the signed 64-bit edge, raises
+    CoordinateOverflowError at the generation it gets there.
     """
     ships = [r for r in catalog if r.kind == "ship"]
     if not ships:

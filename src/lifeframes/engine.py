@@ -8,13 +8,13 @@ detector and the emission census all step one packed ``Board``: sorted
 centred on the box, advanced in place by one sort of their neighbor
 keys per generation.  The box grows by at most a cell a side per
 generation, so the board counts the free cells to the nearer of the
-fields' and the 64-bit edge, re-centres the fields once they are used
-up, and refuses the 64-bit edge where iterating ``step`` would.  A
-board whose shape (its keys from the box corner) recurs jumps exactly
-over the whole periods left of a run.  ``step_n`` squeezes the wide empty
-bands of a board too wide for the fields.  The board also splits itself
-into bodies for the census from the same sort, looks them up by shape,
-and takes them off or puts them back, so the key format stays here.
+fields' and the 64-bit edge, re-packs the fields, squeezing the wide
+empty bands of a box too wide for them, once they are used up, and
+refuses the 64-bit edge where iterating ``step`` would.  A board whose
+shape (its keys from the box corner) recurs jumps exactly over the
+whole periods left of a run.  The board also splits itself into bodies
+for the census from the same sort, looks them up by shape, and takes
+them off or puts them back, so the key format stays here.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 import operator
 from bisect import bisect
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TypeVar
 
 import numpy as np
@@ -151,22 +152,19 @@ def _evolve_py(cells: frozenset[Cell]) -> frozenset[Cell]:
     )
 
 
-def _check_headroom(box: Box, generation: int) -> int:
-    """Free cells on box's tightest side to the 64-bit edge; refuse a board
-    at generation whose box touches it.
+def _check_headroom(box: Box, generation: int) -> None:
+    """Refuse a board at generation whose box touches the 64-bit edge.
 
     One generation moves the bounding box by at most one cell in each
     direction (nothing outruns a chess king), so the next one is in
     range when this one is a cell clear of the edge.
     """
     x0, y0, x1, y1 = box
-    room = min(x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1)
-    if room <= 0:
+    if min(x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1) <= 0:
         raise CoordinateOverflowError(
             f"box {box} at generation {generation} reaches the edge of the "
             f"signed 64-bit coordinate range"
         )
-    return room
 
 
 def step(p: Pattern) -> Pattern:
@@ -182,10 +180,35 @@ def _room(box: Box, origin: Cell) -> int:
     return min(packed, x0 - COORD_MIN, y0 - COORD_MIN, COORD_MAX - x1, COORD_MAX - y1)
 
 
-def _fits(box: Box, generations: int = 1) -> bool:
-    """Whether the fields keep box a free cell a side at each re-centring while
-    it grows a cell a side a generation for generations (at least 1)."""
-    return max(box[2] - box[0], box[3] - box[1]) + 2 * generations < _FIELD
+def _fits(box: Box) -> bool:
+    """Whether fields centred on box keep it a free cell a side."""
+    return max(box[2] - box[0], box[3] - box[1]) + 2 < _FIELD
+
+
+def _band_room(order: list[int]) -> int:
+    """The most r for which sorted coordinates squeezed by r keep r cells free
+    a side: narrowing the k widest gaps, of total S, to 2r + 2 spans at most
+    span - S + 2k + 2r(k + 1), exactly when just they are wider."""
+    free = _FIELD - 1 - (order[-1] - order[0])
+    gaps = sorted((c - last for last, c in zip(order, order[1:])), reverse=True)
+    sums = accumulate(gaps, initial=0)
+    return max((free + s - 2 * k) // (2 * k + 2) for k, s in enumerate(sums))
+
+
+def _squeeze(orders: list[list[int]], r: int) -> list[tuple[dict, list, list]]:
+    """Per axis of sorted coordinates, each empty band wider than 2r + 1
+    narrowed to 2r + 1, where parts evolve alone for r generations: where
+    each coordinate goes, the middles, and the width removed before each."""
+    axes = []
+    for order in orders:
+        places, middles, back = {order[0]: order[0]}, [], [0]
+        for last, c in zip(order, order[1:]):
+            if c - last > 2 * r + 2:
+                middles.append(places[last] + r + 1)
+                back.append(back[-1] + c - last - 2 * r - 2)
+            places[c] = c - back[-1]
+        axes.append((places, middles, back))
+    return axes
 
 
 def _clear_cycles(cycles: int, box: Box, move: Cell, period: int) -> int:
@@ -212,11 +235,26 @@ def _pack(cells: frozenset[Cell], origin: Cell) -> np.ndarray:
     return keys
 
 
-def _unpack(keys: np.ndarray, origin: Cell) -> frozenset[Cell]:
+def _widened(fields: list[int], band: tuple[list[int], list[int]]) -> list[int]:
+    """Field coordinates on one axis, each widened by the bands before it."""
+    middles, back = band
+    return [f + back[bisect(middles, f)] for f in fields]
+
+
+def _plane(box: Box, origin: Cell, bands) -> Box:
+    """box, in field cells, on the plane, through the bands if any."""
+    (x0, y0, x1, y1), (ox, oy) = box, origin
+    if bands:
+        (x0, x1), (y0, y1) = map(_widened, ((x0, x1), (y0, y1)), bands)
+    return x0 + ox, y0 + oy, x1 + ox, y1 + oy
+
+
+def _unpack(keys: np.ndarray, origin: Cell, bands=None) -> frozenset[Cell]:
     # In Python ints: a centred origin may lie outside the 64-bit range.
-    xs = [x + origin[0] for x in (keys >> _FIELD_BITS).tolist()]
-    ys = [y + origin[1] for y in (keys & (_FIELD - 1)).tolist()]
-    return frozenset(zip(xs, ys))
+    xs, ys = (keys >> _FIELD_BITS).tolist(), (keys & (_FIELD - 1)).tolist()
+    if bands:
+        xs, ys = map(_widened, (xs, ys), bands)
+    return frozenset(zip([x + origin[0] for x in xs], [y + origin[1] for y in ys]))
 
 
 def _neighbor_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,20 +327,25 @@ def _extent(keys: np.ndarray) -> Box:
     return x0, int(np.minimum.reduce(ys)), x1, int(np.maximum.reduce(ys))
 
 
-def _shape(keys: np.ndarray, origin: Cell) -> tuple[bytes, Box]:
-    """The bytes of non-empty sorted keys relative to their box corner, equal
-    exactly for translates, and their box (min_x, min_y, max_x, max_y) at origin."""
+def _shape(keys: np.ndarray, origin: Cell, bands=None) -> tuple[bytes, Box]:
+    """The bytes of non-empty sorted keys from their box corner, equal exactly
+    for translates, and their box on the plane.  Squeezed keys add, after 8
+    bytes of -1 (never a relative key), each band's gap and width."""
     # Relative to the first key, keys could alias across the y field.
-    (x0, y0, x1, y1), (ox, oy) = _extent(keys), origin
-    return (keys - (x0 * _FIELD + y0)).tobytes(), (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+    x0, y0, x1, y1 = extent = _extent(keys)
+    shape = (keys - (x0 * _FIELD + y0)).tobytes()
+    if bands:
+        axes = np.sort(keys >> _FIELD_BITS), np.sort(keys & (_FIELD - 1))
+        gaps = [a.searchsorted(mid).tolist() for a, (mid, _) in zip(axes, bands)]
+        widths = [b - a for _, back in bands for a, b in zip(back, back[1:])]
+        shape += b"\xff" * 8 + repr((gaps, widths)).encode()
+    return shape, _plane(extent, origin, bands)
 
 
 def _cells_shape(p: Pattern) -> bytes:
-    """p's shape as ``Board.shape()`` makes it, without a board; like a board,
-    CoordinateOverflowError if its box fills the packed fields."""
-    if not _fits(box := bounding_box(p)):
-        raise CoordinateOverflowError(f"box {box} fills the packed fields")
-    return _pack(p.cells, box[:2]).tobytes()
+    """p's shape as ``Board.shape()`` makes it, without a board where its box fits."""
+    box = bounding_box(p)
+    return _pack(p.cells, box[:2]).tobytes() if _fits(box) else Board(p).shape()[0]
 
 
 def _checked_count(n: int, name: str) -> int:
@@ -325,35 +368,49 @@ class Board:
     """A board held as sorted packed keys and stepped in place.
 
     It raises CoordinateOverflowError where ``step`` would, judged on its
-    own box, or where its box leaves the packed fields no free cell a side
-    (also when built).  With a population_factor (finite and above 0,
-    else ValueError), each step raises ExplosiveGrowthError above that
-    factor x the start count.
+    own box, or where no squeeze fits its box in the packed fields (also
+    when built).  A squeezed board maps every box, corner, cell and shape
+    through its bands: per axis, their middles in field cells and the
+    width removed before each.  With a population_factor (finite and
+    above 0, else ValueError), each step raises ExplosiveGrowthError above
+    that factor x the start count.
     """
 
     def __init__(self, p: Pattern, *, population_factor: float | None = None):
         _check_factor(population_factor)
         self.generation = p.generation
-        self._keys, self._origin = np.empty(0, dtype=np.int64), (0, 0)
-        self._centre(bounding_box(p) if p.cells else (0, 0, 0, 0))
-        self._keys = _pack(p.cells, self._origin)
+        self._repack(p.cells)
         self._sorted = None, None, None  # keys that bodies() split, their sort
         self._listed = None, None  # the table bodies() last read, its sizes
         self._start = (p.generation, len(p.cells))
         self._factor = population_factor
 
-    def _centre(self, box: Box) -> None:
-        """Centre the fields on box; CoordinateOverflowError if they have no room."""
+    def _repack(self, cells: frozenset | None = None, extra=frozenset()) -> np.ndarray:
+        """Pack cells (the board's own if None) centred on the box of cells and
+        extra, and return extra's keys; a box that does not fit is squeezed
+        first, by the r of ``_band_room``, and refused if r is below 1."""
+        if cells is None:
+            cells = _unpack(self._keys, self._origin, self._bands)
+        whole, axes, r = cells | extra if extra else cells, (), math.inf
+        box = fit = bounding_box(Pattern(whole)) if whole else (0, 0, 0, 0)
         if not _fits(box):
-            raise CoordinateOverflowError(
-                f"box {box} at generation {self.generation} fills the packed fields"
-            )
-        free = _FIELD - 1 - box[2] + box[0], _FIELD - 1 - box[3] + box[1]
-        nx, ny = box[0] - free[0] // 2, box[1] - free[1] // 2
-        ox, oy = self._origin
-        if self._keys.size:
-            self._keys = self._keys - ((nx - ox) * _FIELD + ny - oy)
-        self._origin, self._room = (nx, ny), _room(box, (nx, ny))
+            orders = [sorted({cell[axis] for cell in whole}) for axis in (0, 1)]
+            if (r := min(map(_band_room, orders))) < 1:
+                raise CoordinateOverflowError(
+                    f"box {box} at generation {self.generation} fills the packed fields"
+                )
+            axes = (xs, _, _), (ys, _, _) = _squeeze(orders, r)
+            cells, extra = ({(xs[x], ys[y]) for x, y in c} for c in (cells, extra))
+            fit = xs[box[0]], ys[box[1]], xs[box[2]], ys[box[3]]
+        free = _FIELD - 1 - fit[2] + fit[0], _FIELD - 1 - fit[3] + fit[1]
+        self._origin = origin = fit[0] - free[0] // 2, fit[1] - free[1] // 2
+        # A squeeze keeps the low corner, so only the high sides come nearer.
+        self._room = min(r, _room(fit, origin), COORD_MAX - max(box[2:]))
+        self._bands = axes and tuple(
+            ([m - o for m in mid], back) for o, (_, mid, back) in zip(origin, axes)
+        )
+        self._keys = _pack(cells, origin)
+        return _pack(extra, origin)
 
     @property
     def population(self) -> int:
@@ -371,13 +428,14 @@ class Board:
         if end < self.generation:
             raise ValueError("stepping back")
         first, count = self._start
-        saved, saved_at, power = (self._keys, self._origin), self.generation, 1
-        # Take, put and re-centring replace the keys, so a stale sort is unused.
+        saved = self._keys, self._origin, self._bands
+        saved_at, power = self.generation, 1
+        # Take, put and re-packing replace the keys, so a stale sort is unused.
         neighbors = self._sorted[1] if self._sorted[0] is self._keys else None
         while self.generation < end and self._keys.size:
-            if self._room < 1:  # refuse where step does, once the fields have room
-                self._centre(box := self.box())
-                _check_headroom(box, self.generation)
+            if self._room < 1:  # refuse where step does, else re-pack the fields
+                _check_headroom(self.box(), self.generation)
+                self._repack()
             self._keys, neighbors = _evolve_np(self._keys, neighbors), None
             self._room -= 1
             self.generation += 1
@@ -387,8 +445,10 @@ class Board:
                 message = f"population {size} exceeds {self._factor} x initial {count}"
                 raise ExplosiveGrowthError(f"{message} at generation {t}", t, size)
             if self.generation < end and self._keys.size == saved[0].size:
-                (shape, (sx, sy, _, _)), (now, box) = _shape(*saved), self.shape()
-                if shape == now:
+                # Equal shapes of two packings are translates, fresh or not.
+                now = self._keys, self._origin, self._bands
+                (shape, (sx, sy, _, _)), (same, box) = _shape(*saved), _shape(*now)
+                if shape == same:
                     period = self.generation - saved_at
                     dx, dy = box[0] - sx, box[1] - sy
                     cycles = (end - self.generation) // period
@@ -399,37 +459,35 @@ class Board:
                     self._origin = ox + cycles * dx, oy + cycles * dy
                     self.generation += cycles * period
             if self.generation - saved_at == power:
-                saved, saved_at = (self._keys, self._origin), self.generation
-                power *= 2
+                saved = self._keys, self._origin, self._bands
+                saved_at, power = self.generation, 2 * power
         self.generation = end
 
     def box(self) -> Box | None:
         """The box (min_x, min_y, max_x, max_y), or None for an empty board."""
         if not self._keys.size:
             return None
-        (x0, y0, x1, y1), (ox, oy) = _extent(self._keys), self._origin
-        return x0 + ox, y0 + oy, x1 + ox, y1 + oy
+        return _plane(_extent(self._keys), self._origin, self._bands)
 
     def shape(self) -> tuple[bytes, Box]:
-        """The canonical shape and the box, as ``_shape`` makes them."""
+        """The canonical shape and the box, as ``_shape`` makes them, packed
+        afresh if squeezed or too wide, so that its bands fit translates."""
         if not self._keys.size:
             raise EmptyPatternError("an empty board has no shape")
-        return _shape(self._keys, self._origin)
+        if self._bands or (self._room < 1 and not _fits(self.box())):
+            self._repack()
+        return _shape(self._keys, self._origin, self._bands)
 
     def _placed(self, shape: bytes, corner: Cell) -> tuple[np.ndarray, ...]:
         """The keys of shape at corner, where they sort, which are live; see put."""
         keys = np.frombuffer(shape, dtype=np.int64)
         (x, y), (_, _, width, height) = corner[:2], _extent(keys)
         body = x, y, x + width, y + height
-        if _room(body, self._origin) < 1:
-            box = self.box() or body
-            union = (*map(min, box[:2], body[:2]), *map(max, box[2:], body[2:]))
-            if _fits(union):
-                self._centre(union)
-        if _room(body, self._origin) < 0:
-            raise ValueError(f"a body at {corner} is outside the packed fields")
-        self._room = min(self._room, _room(body, self._origin))
-        keys = keys + ((x - self._origin[0]) * _FIELD + y - self._origin[1])
+        if self._bands or _room(body, self._origin) < 1:
+            keys = self._repack(extra=_unpack(keys, corner))
+        else:
+            self._room = min(self._room, _room(body, self._origin))
+            keys = keys + ((x - self._origin[0]) * _FIELD + y - self._origin[1])
         at = self._keys.searchsorted(keys)
         # Keys are never negative, so -1 stands past the last key.
         return keys, at, np.append(self._keys, -1)[at] == keys
@@ -442,10 +500,7 @@ class Board:
         self._keys = np.delete(self._keys, at)
 
     def put(self, shape: bytes, corner: Cell) -> None:
-        """Put shape at corner on the board; ValueError if any of its cells is live.
-
-        A body with no room re-centres the fields; one too far raises ValueError.
-        """
+        """Put shape at corner on the board; ValueError if any of its cells is live."""
         keys, at, live = self._placed(shape, corner)
         if np.logical_or.reduce(live):
             raise ValueError(f"the body at {corner} overlaps live cells")
@@ -468,7 +523,7 @@ class Board:
         if self._keys.size == 0:
             return matched, None
         if self._room < 1:
-            self._centre(self.box())
+            self._repack()
         if self._listed[0] is not table:  # flags by size; the last is for larger
             sizes = [len(shape) // 8 for shape in table]
             self._listed = table, np.zeros(max(sizes, default=0) + 2, dtype=bool)
@@ -499,9 +554,11 @@ class Board:
         picked = listed[np.minimum(sizes, listed.size - 1)].nonzero()[0]
         begin, ox, oy = 8 * starts[picked], *self._origin
         spans = zip(begin.tolist(), (begin + 8 * sizes[picked]).tolist())
-        corners = zip(min_x[picked].tolist(), min_y[picked].tolist())
+        xs, ys = min_x[picked].tolist(), min_y[picked].tolist()
+        if self._bands:  # no body spans a band's middle while the board has room
+            xs, ys = map(_widened, (xs, ys), self._bands)
         is_body = np.ones(starts.size, dtype=bool)
-        for i, (a, b), (x, y) in zip(picked.tolist(), spans, corners):
+        for i, (a, b), x, y in zip(picked.tolist(), spans, xs, ys):
             shape = relative[a:b]
             value = table.get(shape)
             if value is not None:
@@ -509,70 +566,28 @@ class Board:
                 is_body[i] = False
         if not np.logical_or.reduce(is_body):
             return matched, None
-        return matched, (
-            int(np.minimum.reduce(min_x[is_body])) + ox,
-            int(np.minimum.reduce(min_y[is_body])) + oy,
-            int(np.maximum.reduce(max_x[is_body])) + ox,
-            int(np.maximum.reduce(max_y[is_body])) + oy,
-        )
+        low = np.minimum.reduce(min_x[is_body]), np.minimum.reduce(min_y[is_body])
+        high = np.maximum.reduce(max_x[is_body]), np.maximum.reduce(max_y[is_body])
+        return matched, _plane(tuple(map(int, low + high)), self._origin, self._bands)
 
     def pattern(self) -> Pattern:
-        return Pattern(_unpack(self._keys, self._origin), self.generation)
-
-
-def _squeeze(cells: frozenset[Cell], r: int) -> tuple[frozenset[Cell], Callable]:
-    """cells with each empty band wider than 2r + 1 narrowed to 2r + 1, and the
-    map back for cells up to r generations on: parts that far apart evolve
-    alone, and a cell stays on its part's side of each narrowed band's middle."""
-    axes = []
-    for order in (sorted({cell[axis] for cell in cells}) for axis in (0, 1)):
-        places, middles, back = {order[0]: order[0]}, [], [0]
-        for last, c in zip(order, order[1:]):
-            if c - last > 2 * r + 2:
-                middles.append(places[last] + r + 1)
-                back.append(back[-1] + c - last - 2 * r - 2)
-            places[c] = c - back[-1]
-        axes.append((places, middles, back))
-    (xs, x_mid, x_back), (ys, y_mid, y_back) = axes
-    return frozenset((xs[x], ys[y]) for x, y in cells), lambda moved: frozenset(
-        (x + x_back[bisect(x_mid, x)], y + y_back[bisect(y_mid, y)]) for x, y in moved
-    )
+        return Pattern(_unpack(self._keys, self._origin, self._bands), self.generation)
 
 
 def step_n(p: Pattern, n: int, population_factor: float | None = None) -> Pattern:
     """n-fold iteration of ``step``, refusing at the generation it would.
 
-    One packed ``Board`` runs it, jumping over whole periods.  A board too
-    wide for the fields runs on squeezed (``_squeeze``), r generations at a
-    time: r is at most its room to the 64-bit edge, halved until the
-    squeezed box fits, else the board refuses with the fields' error.  With
-    a population_factor, raises ExplosiveGrowthError at the first
-    generation over that factor times p's population; a factor that is
-    nan, infinite or not above 0 raises ValueError, a non-int n TypeError.
+    One packed ``Board`` runs it.  With a population_factor, raises
+    ExplosiveGrowthError at the first generation over that factor times
+    p's population; a factor that is nan, infinite or not above 0 raises
+    ValueError, a non-int n TypeError.
     """
     n = _checked_count(n, "n")
     _check_factor(population_factor)
     if n < 0:
         raise ValueError("generation count must be non-negative")
-    end, q = p.generation + n, p
-    while q.generation < end:
-        cells, r, back = q.cells, end - q.generation, None
-        if q.cells and not _fits(box := bounding_box(q)):
-            r = min(r, _check_headroom(box, q.generation))
-            while r:  # halve r until its squeeze fits; else the board refuses q
-                squeezed = _squeeze(q.cells, r)
-                if _fits(bounding_box(Pattern(squeezed[0])), r):
-                    cells, back = squeezed
-                    break
-                r //= 2
-        board = Board(Pattern(cells, q.generation), population_factor=population_factor)
-        board._start = p.generation, len(p.cells)
-        try:
-            board.step(r)
-        except CoordinateOverflowError:
-            if _fits(board.box()):
-                raise  # the 64-bit edge; one that outgrows the fields is squeezed
-        q = board.pattern()
-        if back:
-            q = Pattern(back(q.cells), q.generation)
-    return q
+    if not n:
+        return p
+    board = Board(p, population_factor=population_factor)
+    board.step(n)
+    return board.pattern()

@@ -12,6 +12,7 @@ fields, where squeezes are common.
 
 import functools
 import inspect
+from bisect import bisect
 import sys
 import types
 from unittest import mock
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 import census_reference
 import ship_reference
 from test_census import scenes
-from lifeframes import catalog, engine
+from lifeframes import catalog, detector, engine
 from lifeframes.catalog import (
     catalog_pattern,
     gun_battery,
@@ -180,17 +181,29 @@ class TestTakeAndPut:
         for corner in [(x, y), (x + 1, y + 1), (x + 7, y - 2)]:
             with pytest.raises(ValueError, match="overlaps live cells"):
                 board.put(shape, corner)
-        for corner in [(x - 2**31, y), (x, y + 2**31)]:
-            with pytest.raises(ValueError, match="outside the packed fields"):
-                board.put(shape, corner)
         assert board.pattern() == before
+        # A body past the fields is put, with the board squeezed, and a
+        # wrong body raises there too; taking it off again leaves the
+        # board as it was.
+        glider = catalog_pattern("glider")
+        for corner in [(x - 2**31, y), (x, y + 2**31)]:
+            board.put(shape, corner)
+            squeezed = board.pattern()
+            assert squeezed.cells == before.cells | translate(glider, *corner).cells
+            with pytest.raises(ValueError, match="not all live"):
+                board.take(shape, (corner[0] + 1, corner[1]))
+            with pytest.raises(ValueError, match="overlaps live cells"):
+                board.put(shape, corner)
+            assert board.pattern() == squeezed and board._bands
+            board.take(shape, corner)
+            assert board.pattern() == before
         empty = Board(Pattern(frozenset()))
         with pytest.raises(ValueError, match="not all live"):
             empty.take(shape, (0, 0))
 
 
 class TestRecentring:
-    """A body put where the fields have no room for it re-centres them."""
+    """A body put where the fields have no room for it re-packs them."""
 
     def test_a_body_past_the_edge_moves_the_fields(self):
         # Two blocks 2**31 - 8 apart leave three free cells a side.  A
@@ -205,11 +218,14 @@ class TestRecentring:
         assert board.pattern().cells == cells
         board.step(2)
         assert board.pattern() == _stepped(Pattern(cells), 2)
-        # Two columns further on, the four would not fit.
-        before = board.pattern()
-        with pytest.raises(ValueError, match="outside the packed fields"):
-            board.put(shape, (far + 7, 0))
-        assert board.pattern() == before
+        # Two columns further on, the four do not fit: the fields squeeze
+        # the empty band between the first block and the rest.
+        cells = board.pattern().cells | _moved(block, far + 7, 0)
+        board.put(shape, (far + 7, 0))
+        assert board._bands
+        assert board.pattern() == Pattern(cells, 2)
+        board.step(2)
+        assert board.pattern() == _stepped(Pattern(cells, 2), 2)
 
 
     def test_a_body_put_near_the_edge_lowers_the_room(self):
@@ -268,11 +284,16 @@ class TestPlannedRun:
         # a period bound at the top of the 64-bit range measures the glider.
         glider = catalog_pattern("glider")
         assert detect_ship(glider, max_period=COORD_MAX).period == 4
-        _forbid(monkeypatch, "_evolve_np")
+        # Nor does the width refuse a board the fields hold squeezed: a
+        # pair too wide for them measures as the glider does, in Python
+        # as on the packed board.
+        wide = Pattern(glider.cells | translate(glider, 2**31 - 4, 0).cells)
+        limits = dict(max_period=8, max_extent=2**32)
+        report = detect_ship(wide, **limits)
+        assert (report.period, report.displacement) == (4, (1, 1))
+        assert report == ship_reference.detect_ship(wide, **limits)
         _forbid(monkeypatch, "_evolve_py")
-        wide = glider.cells | translate(glider, 2**31 - 4, 0).cells
-        with pytest.raises(CoordinateOverflowError, match="packed fields"):
-            detect_ship(Pattern(wide), max_period=8, max_extent=2**32)
+        assert detect_ship(wide, **limits) == report
 
 
 class TestCountCheck:
@@ -533,17 +554,17 @@ def _moved(cells, dx, dy):
 
 
 def _spy(monkeypatch, log):
-    """Log each re-centring (with its generation), kernel step and shape."""
-    centre, evolve_np, evolve_py, shape = (
-        Board._centre,
+    """Log each re-pack (with its generation), kernel step and shape."""
+    repack, evolve_np, evolve_py, shape = (
+        Board._repack,
         engine._evolve_np,
         engine._evolve_py,
         engine._shape,
     )
 
-    def spy_centre(self, box):
-        log.append(("centre", self.generation))
-        return centre(self, box)
+    def spy_repack(self, *args, **kwargs):
+        log.append(("repack", self.generation))
+        return repack(self, *args, **kwargs)
 
     def spy_np(*args):
         log.append(("np",))
@@ -558,7 +579,7 @@ def _spy(monkeypatch, log):
         log.append(("shape", made[0]))
         return made
 
-    monkeypatch.setattr(Board, "_centre", spy_centre)
+    monkeypatch.setattr(Board, "_repack", spy_repack)
     monkeypatch.setattr(engine, "_evolve_np", spy_np)
     monkeypatch.setattr(engine, "_evolve_py", spy_py)
     monkeypatch.setattr(engine, "_shape", spy_shape)
@@ -660,13 +681,13 @@ class TestWindow:
         log = []
         _spy(monkeypatch, log)
         assert step_n(p, 200) == expected
-        assert _count(log, "centre") >= 2 and _count(log, "py") == 0
+        assert _count(log, "repack") >= 2 and _count(log, "py") == 0
         # A compare makes the saved board's shape, then the board's; the
         # first pair that matches is the jump: generation g, the saved
-        # board at g - 4, and a re-centring in between.
+        # board at g - 4, and a re-pack in between.
         jump = next(i for i, e in enumerate(log) if e[0] == "shape" and log[i - 1] == e)
         g = _count(log[:jump], "np")
-        assert any(e == ("centre", t) for e in log[:jump] for t in range(g - 4, g))
+        assert any(e == ("repack", t) for e in log[:jump] for t in range(g - 4, g))
         assert _count(log, "np") < 200
 
     def test_two_gliders_flying_apart_outgrow_the_fields(self, monkeypatch):
@@ -679,16 +700,21 @@ class TestWindow:
             _spy(patched, log)
             _forbid(patched, "step")
             assert step_n(p, 40) == expected
-        # The board steps until it outgrows the fields, and a squeezed
-        # board steps the rest.
+        # The board re-packs as its room runs out until it outgrows the
+        # fields, and squeezes itself then.
         assert _count(log, "py") == 0 and _count(log, "np") == 40
+        # At generation 11 the board, not yet squeezed, has used up its room
+        # and is too wide to fit: its shape is that of a fresh packing.
         board = Board(p)
-        with pytest.raises(CoordinateOverflowError, match="packed fields"):
-            board.step(40)
-        assert 0 < board.generation < 40
-        assert board.pattern() == _stepped(p, board.generation)
-        with pytest.raises(CoordinateOverflowError, match="packed fields"):
-            detect_ship(p, max_period=40, max_extent=2**32)
+        board.step(11)
+        assert not board._bands and board._room == 0
+        assert board.shape() == Board(board.pattern()).shape()
+        board.step(29)
+        assert board.pattern() == expected
+        assert board._bands
+        limits = dict(max_period=40, max_extent=2**32)
+        assert detect_ship(p, **limits) is None
+        assert ship_reference.detect_ship(p, **limits) is None
 
     def test_a_census_puts_a_ship_back_while_the_room_is_0(self, monkeypatch):
         # The gun and blinker that bring each glider back, and a block far
@@ -792,40 +818,48 @@ SQUEEZE_PIECES = [
 
 
 def _with_fields(bits):
-    """A copy of the engine module whose packed fields are bits wide."""
+    """Copies of the engine and detector modules whose packed fields are
+    bits wide."""
+    engine_copy = types.ModuleType(f"{engine.__name__}_{bits}")
+    detector_copy = types.ModuleType(f"{detector.__name__}_{bits}")
     source = inspect.getsource(engine)
     assert source.count("_FIELD_BITS = 31\n") == 1
     source = source.replace("_FIELD_BITS = 31\n", f"_FIELD_BITS = {bits}\n")
-    module = types.ModuleType(f"{engine.__name__}_{bits}")
+    census = inspect.getsource(detector)
+    assert census.count("from .engine") == 1
+    census = census.replace("from .engine", f"from {engine_copy.__name__}")
     # dataclass looks its class's module up while it builds Pattern.
-    with mock.patch.dict(sys.modules, {module.__name__: module}):
-        exec(compile(source, engine.__file__, "exec"), module.__dict__)
-    return module
+    copies = {engine_copy.__name__: engine_copy, detector_copy.__name__: detector_copy}
+    with mock.patch.dict(sys.modules, copies):
+        exec(compile(source, engine.__file__, "exec"), engine_copy.__dict__)
+        exec(compile(census, detector.__file__, "exec"), detector_copy.__dict__)
+    return engine_copy, detector_copy
 
 
-SMALL_FIELDS = _with_fields(10)
+SMALL_FIELDS, SMALL_DETECTOR = _with_fields(10)
 
 
 @st.composite
-def far_scenes(draw, far, near_field):
-    """1 to 4 small pieces in any orientation, each 3 to far cells past the
-    last along x or y, or about near_field past it; at times the scene
-    sits within 12 cells of a 64-bit edge or corner."""
+def far_scenes(draw, far, near_field, least=1, along=None, edges=True):
+    """least to 4 small pieces in any orientation, each 3 to far cells past
+    the last along x or y (along, if given), or about near_field past it;
+    at times, with edges, the scene sits within 12 cells of a 64-bit edge
+    or corner."""
     gap = st.integers(3, 40) | st.integers(near_field - 40, near_field + 8)
     gap |= st.integers(3, far)
     cells, x, y = set(), 0, 0
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(least, 4))):
         turn = draw(st.sampled_from(catalog._ORIENTATIONS))
         piece = catalog._transform(draw(st.sampled_from(SQUEEZE_PIECES)), turn)
         cells |= {(a + x, b + y) for a, b in piece}
-        if draw(st.booleans()):
+        if draw(st.booleans()) if along is None else along == 0:
             x, y = x + 5 + draw(gap), y + draw(st.integers(-8, 8))
         else:
             x, y = x + draw(st.integers(-8, 8)), y + 5 + draw(gap)
     box = bounding_box(Pattern(cells))
     shift = []
     for low, high in zip(box[:2], box[2:]):
-        side = draw(st.sampled_from([-1, 0, 0, 1]))
+        side = draw(st.sampled_from([-1, 0, 0, 1])) if edges else 0
         inset = draw(st.integers(0, 12))
         shift.append(
             {-1: COORD_MIN + inset - low, 0: 0, 1: COORD_MAX - inset - high}[side]
@@ -862,8 +896,54 @@ def _stepped_with_guard(module, p, n, factor):
     return q
 
 
+SHIPS = ship_catalog()
+_FIELDS = {False: (detector, 2**40, 2**31), True: (SMALL_DETECTOR, 2**12, 2**10)}
+
+
+def _measured(detect, p, **limits):
+    """A ship detector's period, displacement and phases, as plain values,
+    or the generation and population it refused at."""
+    try:
+        report = detect(p, **limits)
+    except (ExplosiveGrowthError, SMALL_FIELDS.ExplosiveGrowthError) as exc:
+        return "explosive", exc.generation, exc.population
+    if report is None:
+        return (None,)
+    return report.period, report.displacement, [ph.cells for ph in report.phases]
+
+
+def _events(events):
+    """Emission events as plain values."""
+    return [
+        (e.birth_generation, e.first_sighting, e.ground_velocity, e.ship.displacement)
+        for e in events
+    ]
+
+
+def _brought_close(p, width):
+    """p with each empty band wider than width, on either axis, narrowed to
+    width, and the map of a cell back: pieces that keep clear of the band
+    middles evolve as they do in p."""
+    axes = []
+    for order in (sorted({cell[axis] for cell in p.cells}) for axis in (0, 1)):
+        places, middles, back = {order[0]: order[0]}, [], [0]
+        for last, c in zip(order, order[1:]):
+            if c - last > width:
+                middles.append(places[last] + width // 2)
+                back.append(back[-1] + c - last - width)
+            places[c] = c - back[-1]
+        axes.append((places, middles, back))
+    (xs, x_mid, x_back), (ys, y_mid, y_back) = axes
+    near = Pattern(frozenset((xs[x], ys[y]) for x, y in p.cells), p.generation)
+    return near, lambda c: (
+        c[0] + x_back[bisect(x_mid, c[0])],
+        c[1] + y_back[bisect(y_mid, c[1])],
+    )
+
+
 class TestSqueeze:
-    """step_n on far-apart pieces equals iterated step, error for error."""
+    """step_n on far-apart pieces equals iterated step, error for error, and
+    the ship detector and the census see them as they see them near."""
 
     @given(
         far_scenes(far=2**40, near_field=2**31),
@@ -889,7 +969,7 @@ class TestSqueeze:
         )
 
     def test_a_board_no_squeeze_fits_is_refused(self):
-        # Cells 4 apart leave bands of 3, which a chunk of 1 keeps, so the
+        # Cells 4 apart leave bands of 3, which even r = 1 keeps, so the
         # 1 197-cell row never fits 1 024-cell fields; 5 apart, they do.
         row = SMALL_FIELDS.Pattern(frozenset((4 * k, 0) for k in range(300)))
         with pytest.raises(
@@ -900,3 +980,91 @@ class TestSqueeze:
         assert step_n(Pattern(row.cells), 1) == Pattern(frozenset(), 1)
         spread = SMALL_FIELDS.Pattern(frozenset((5 * k, 0) for k in range(230)))
         assert SMALL_FIELDS.step_n(spread, 1) == SMALL_FIELDS.Pattern(frozenset(), 1)
+
+    def test_a_board_squeezed_for_one_generation(self):
+        # 201 upright blinkers 7 apart fit 1 024-cell fields only with each
+        # band narrowed to 3 cells, which keeps them apart for a generation;
+        # turned, they fit no squeeze.
+        row = SMALL_FIELDS.Pattern(
+            frozenset((7 * k, y) for k in range(201) for y in range(3))
+        )
+        board = SMALL_FIELDS.Board(row)
+        assert board._room == 1
+        # A body off the squeezed board and back maps through its bands.
+        blinker = SMALL_FIELDS.Pattern(frozenset({(0, 0), (0, 1), (0, 2)}))
+        shape, _ = SMALL_FIELDS.Board(blinker).shape()
+        board.take(shape, (700, 0))
+        assert board.pattern().cells == row.cells - {(700, 0), (700, 1), (700, 2)}
+        board.put(shape, (700, 0))
+        assert board.pattern() == row
+        expected = _stepped(Pattern(row.cells), 1).cells
+        assert SMALL_FIELDS.step_n(row, 1).cells == expected
+        with pytest.raises(
+            SMALL_FIELDS.CoordinateOverflowError,
+            match=r"^box \(-1, 1, 1401, 1\) at generation 1 fills the packed fields$",
+        ):
+            SMALL_FIELDS.step_n(row, 2)
+
+    def test_a_squeezed_shape_holds_its_band_widths(self):
+        # Two gliders 2**40 or 2**41 apart squeeze to the same keys, but
+        # their shapes differ; a pair flying together measures as one.
+        glider = catalog_pattern("glider")
+        far = [translate(glider, d, 0).cells for d in (2**40, 2**41)]
+        pairs = [Pattern(glider.cells | cells) for cells in far]
+        boards = [Board(pair) for pair in pairs]
+        assert boards[0]._keys.tolist() == boards[1]._keys.tolist()
+        assert boards[0].shape()[0] != boards[1].shape()[0]
+        for pair in pairs:
+            report = detect_ship(pair, max_extent=2**42)
+            assert (report.period, report.displacement) == (4, (1, 1))
+        # Gaps of 2**32 and 715 827 882 cells, in either order, squeeze to
+        # the same keys and band widths: only the band's place differs.
+        g = 715_827_882
+        for turn in (lambda c: (c, 0), lambda c: (0, c)):
+            a, b = [Board(Pattern(frozenset(map(turn, cs)))) for cs in (
+                [0, 2**32, 2**32 + g], [0, g, g + 2**32]
+            )]
+            assert a._keys.tolist() == b._keys.tolist()
+            assert a.shape()[0] != b.shape()[0]
+        # A block, a glider and an LWSS 1 035 cells to the right: as the
+        # pieces move, a stepped board's bands no longer hold what a fresh
+        # packing's would, so its shape is that of its cells packed afresh.
+        scene = SMALL_FIELDS.Pattern(
+            frozenset({(0, -1), (0, 0), (1, -1), (1, 0)})
+            | {(9, 1), (10, 2), (11, 0), (11, 1), (11, 2)}
+            | {(1035, -1), (1035, 1), (1036, -2), (1037, -2), (1038, -2)}
+            | {(1038, 1), (1039, -2), (1039, -1), (1039, 0)}
+        )
+        board = SMALL_FIELDS.Board(scene)
+        for _ in range(4):
+            board.step()
+            assert board.shape() == SMALL_FIELDS.Board(board.pattern()).shape()
+
+    @pytest.mark.parametrize("small", [False, True], ids=["fields31", "fields10"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_detect_ship_on_far_pieces_measures_them_as_near(self, small, data):
+        # max_extent is above any scene, so only the recurrence decides.
+        census, far, near_field = _FIELDS[small]
+        p = data.draw(far_scenes(far, near_field, least=2, edges=False))
+        limits = dict(max_period=8, max_extent=2**44)
+        measured = _measured(census.detect_ship, p, **limits)
+        assert measured == _measured(ship_reference.detect_ship, p, **limits)
+        near, _ = _brought_close(p, 2 * 8 + 8)
+        assert measured[:2] == _measured(census.detect_ship, near, **limits)[:2]
+
+    @pytest.mark.parametrize("small", [False, True], ids=["fields31", "fields10"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_detect_emissions_on_far_pieces_sees_them_as_near(self, small, data):
+        # The pieces lie along one axis, and the bands brought close stay
+        # wider than every distance across it, so that each ship's gap to
+        # the other bodies is taken on the same axis near as far.
+        census, far, near_field = _FIELDS[small]
+        along, horizon = data.draw(st.integers(0, 1)), data.draw(st.integers(4, 24))
+        p = data.draw(far_scenes(far, near_field, 2, along, edges=False))
+        events = _events(census.detect_emissions(p, horizon, SHIPS))
+        assert events == _events(census_reference.detect_emissions(p, horizon, SHIPS))
+        near, back = _brought_close(p, 4 * horizon + 64)
+        seen = _events(census.detect_emissions(near, horizon, SHIPS))
+        assert events == [(t, back(at), *rest) for t, at, *rest in seen]

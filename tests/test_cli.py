@@ -305,12 +305,25 @@ class TestEmissions:
         ]
 
     def test_board_too_wide_for_the_census(self, capsys, tmp_path):
+        # A board too wide for the packed fields is squeezed, not refused:
+        # two lone cells die, and two gliders 2**31 apart both escape.
         path = tmp_path / "wide.rle"
         path.write_text("x = 2147483648, y = 1, rule = B3/S23\no2147483646bo!\n")
         code, out, err = run_cli(capsys, "emissions", str(path), "--horizon", "4")
-        assert code == 1
-        assert "packed fields" in err
-        assert out == ""
+        assert (code, out, err) == (0, "0 emission event(s) within 4 generations\n", "")
+        path.write_text(
+            "x = 2147483651, y = 3\n"
+            "bo2147483647bo$2bo2147483647bo$3o2147483645b3o!\n"
+        )
+        code, out, err = run_cli(
+            capsys, "emissions", str(path), "--horizon", "8", "--format", "machine"
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "events=2"
+        assert [line for line in lines if line[:2] in ("x=", "y=")] == [
+            "x=0", "y=0", "x=2147483648", "y=0"
+        ]
 
     def test_comoving_reconstruction(self, capsys, tmp_path):
         path = tmp_path / "gun.rle"

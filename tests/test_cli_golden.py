@@ -295,8 +295,8 @@ REFERENCE = {
     "emissions-side-by-side-2000-machine": "00fbd80279c24351",
     "emissions-env-much-table": "273c50ae6cd4bbe8",
     "emissions-env-much-machine": "a8cd3b26f4b11458",
-    "emissions-wide-table": "ff92c7ae5a528a94",
-    "emissions-wide-machine": "ff92c7ae5a528a94",
+    "emissions-wide-table": "d4ff4f416ebaec4b",
+    "emissions-wide-machine": "6b7583c267ee86ec",
     "emissions-empty-table": "0620dc2ef77a88a0",
     "emissions-empty-machine": "6b7583c267ee86ec",
     "emissions-missing-table": "aa4105b6ac12dfd2",

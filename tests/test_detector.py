@@ -5,19 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import census_reference
 from cluster_reference import clusters
+from test_board import SMALL_FIELDS
 from test_engine import crowded_cells
 from lifeframes.catalog import catalog_pattern, gun_battery, ship_catalog
 from lifeframes.detector import (
     EmissionEvent,
     ExplosiveGrowthError,
     ShipReport,
+    _phase_entries,
     detect_emissions,
     detect_ship,
 )
 from lifeframes.engine import (
     Board,
-    CoordinateOverflowError,
     EmptyPatternError,
     Pattern,
     _cells_shape,
@@ -235,12 +237,24 @@ class TestBodyLookup:
 
 
 def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
-    gaps = 2**31 - 3, 2**31 - 2
-    fits, wide = [Pattern(frozenset({(0, 0), (gap, 1)})) for gap in gaps]
+    gaps = 2**31 - 3, 2**31 - 2, 2**31 - 1
+    fits, wide, wider = [Pattern(frozenset({(0, 0), (gap, 1)})) for gap in gaps]
     assert _cells_shape(fits) == Board(fits).shape()[0]
-    for make in (Board, _cells_shape):
-        with pytest.raises(CoordinateOverflowError, match="fills the packed fields"):
-            make(wide)
+    # A box too wide for the fields is squeezed alike, and its band's
+    # width tells it from one a cell wider.
+    assert _cells_shape(wide) == Board(wide).shape()[0] != _cells_shape(wider)
+    # A wide ship's phases are such shapes, and its walk checks them.
+    glider = catalog_pattern("glider")
+    pair = Pattern(glider.cells | translate(glider, 2**31, 0).cells)
+    report = detect_ship(pair, max_extent=2**32)
+    assert [_cells_shape(ph) for ph in report.phases] == [
+        shape for shape, _ in _phase_entries(report)
+    ]
+    # A box that no squeeze fits is refused alike.
+    row = SMALL_FIELDS.Pattern(frozenset((4 * k, 0) for k in range(300)))
+    for make in (SMALL_FIELDS.Board, SMALL_FIELDS._cells_shape):
+        with pytest.raises(SMALL_FIELDS.CoordinateOverflowError, match="fills the"):
+            make(row)
 
 
 class TestEmissionEvent:
@@ -322,9 +336,11 @@ class TestDetectEmissions:
         events = detect_emissions(scene, horizon, ships)
         assert [e.first_sighting for e in events] == [(0, 0), (fits, 0)]
 
+        # One cell more and the board is squeezed, with the same events.
         wide = Pattern(glider.cells | translate(glider, fits + 1, 0).cells)
-        with pytest.raises(CoordinateOverflowError, match="packed fields"):
-            detect_emissions(wide, horizon, ships)
+        events = detect_emissions(wide, horizon, ships)
+        assert [e.first_sighting for e in events] == [(0, 0), (fits + 1, 0)]
+        assert events == census_reference.detect_emissions(wide, horizon, ships)
         # A narrow board is never refused for a long horizon.
         assert detect_emissions(catalog_pattern("block"), 4 * 10**9, ships) == []
         assert detect_emissions(gun_battery(23), 2**31, ships) == []

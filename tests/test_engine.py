@@ -154,15 +154,21 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(engine, name, forbidden)
 
 
-def _squeezes(monkeypatch):
-    """Count the calls of engine._squeeze."""
-    calls, squeeze = [], engine._squeeze
+def _squeezes(monkeypatch, repacks=None):
+    """Count the calls of engine._squeeze, and of Board._repack in repacks."""
+    calls, squeeze, repack = [], engine._squeeze, engine.Board._repack
 
     def counted(*args):
         calls.append(args[1])
         return squeeze(*args)
 
+    def repacked(*args, **kwargs):
+        repacks.append(args[0].generation)
+        return repack(*args, **kwargs)
+
     monkeypatch.setattr(engine, "_squeeze", counted)
+    if repacks is not None:
+        monkeypatch.setattr(engine.Board, "_repack", repacked)
     return calls
 
 
@@ -172,12 +178,13 @@ def test_board_wider_than_the_fields_takes_the_python_path(monkeypatch, axis, co
     # It does not: the board runs packed, with its empty band squeezed.
     _forbid(monkeypatch, "_evolve_py")
     _forbid(monkeypatch, "step")
-    squeezes = _squeezes(monkeypatch)
+    repacks = []
+    squeezes = _squeezes(monkeypatch, repacks)
     gap, n = 2**31, 8
     board = Pattern(frozenset(_two_gliders(gap, axis, corner)))
     assert step_n(board, n).cells == _dense_two_gliders(gap, axis, corner, n)
-    # One chunk of n generations, squeezed once.
-    assert squeezes == [n]
+    # Each re-pack squeezes once, for far more generations than the run.
+    assert len(squeezes) == len(repacks) > 0 and min(squeezes) > 2**28
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -222,7 +229,8 @@ def test_a_glider_refused_at_the_edge_runs_no_python(monkeypatch):
 
 
 def test_two_blocks_far_apart_jump_a_billion_generations(monkeypatch):
-    # Each squeezed chunk is a still life, so it jumps: a few kernel steps.
+    # The squeezed board is a still life, so it jumps: a few kernel steps,
+    # also to the top of the 64-bit range.
     blocks = Pattern(BLOCK | {(x + 2**31, y) for x, y in BLOCK})
     steps, evolve = [], engine._evolve_np
 
@@ -234,6 +242,8 @@ def test_two_blocks_far_apart_jump_a_billion_generations(monkeypatch):
     _forbid(monkeypatch, "_evolve_py")
     assert step_n(blocks, 10**9) == Pattern(blocks.cells, 10**9)
     assert 0 < len(steps) < 20
+    assert step_n(blocks, COORD_MAX) == Pattern(blocks.cells, COORD_MAX)
+    assert len(steps) < 40
 
 
 @given(cells_strategy())
