@@ -7,8 +7,10 @@ in the emission census, where a small cluster is recognized by exact
 cell-set match against known ship phases and its velocity is still
 measured from its own sightings rather than copied from the catalog.
 
-The ship detector, the census and its catalog walk all step the
-engine's packed ``Board`` and compare its opaque canonical shapes.
+The ship detector and the census step the engine's packed ``Board``
+and compare its opaque canonical shapes.  The census's catalog table
+comes from the walk ``detect_ship`` made to measure each ship, which
+the report carries; a report built by hand is walked again, and checked.
 The board also splits itself into bodies for the census and looks
 them up in the census's catalog table, so no generation is unpacked
 into Python cell sets and this module holds only census policy: the
@@ -62,6 +64,11 @@ class ShipReport:
     period: int
     displacement: tuple[int, int]
     phases: tuple[Pattern, ...]
+    # The Board class that measured it, and the board's (shape, box from
+    # the start corner) at generations 0 to period: shapes are that
+    # engine's bytes.  Not a field, so it is no part of the report's value
+    # and a report built by hand has none.
+    _walk = None
 
     @property
     def velocity(self) -> tuple[Fraction, Fraction]:
@@ -112,6 +119,9 @@ def detect_ship(
     that is nan, infinite or below 1 raises ValueError.  A board that no
     squeeze fits in the packed fields, or at the signed 64-bit edge,
     raises CoordinateOverflowError at the generation it gets there.
+
+    The report keeps the walk it was measured on, outside its value, so
+    the census builds its table without walking the ship again.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
@@ -121,8 +131,9 @@ def detect_ship(
     if not 1 <= max_extent < math.inf:
         raise ValueError(f"max_extent must be finite and >= 1, not {max_extent!r}")
     board = Board(p, population_factor=population_factor)
-    first, (x0, y0, _, _) = board.shape()
+    first, (x0, y0, x1, y1) = board.shape()
     phases = [translate(p, -x0, -y0)]
+    walk = [(first, (0, 0, x1 - x0, y1 - y0))]
     for t in range(1, max_period + 1):
         board.step()
         if not board.population:
@@ -135,12 +146,15 @@ def detect_ship(
                 t,
                 board.population,
             )
+        walk.append((shape, (min_x - x0, min_y - y0, max_x - x0, max_y - y0)))
         if shape == first:
-            return ShipReport(
+            report = ShipReport(
                 period=t,
                 displacement=(min_x - x0, min_y - y0),
                 phases=tuple(phases),
             )
+            object.__setattr__(report, "_walk", (Board, tuple(walk)))
+            return report
         phases.append(translate(board.pattern(), -min_x, -min_y))
     return None
 
@@ -156,27 +170,34 @@ class _PhaseEntry:
 
 
 def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
-    """Walk one full period of a ship and record each phase's step.
+    """Each phase's shape and step, read off one full period's walk.
 
-    The walk re-derives, with the engine itself, where each phase's
-    corner moves on the next generation; the census needs that to
-    follow one physical ship through consecutive generations.
+    The walk gives, from the engine itself, where each phase's corner
+    moves on the next generation; the census needs that to follow one
+    physical ship through consecutive generations.  It is the walk
+    detect_ship measured the report on, with this engine's Board; a
+    report without one, built by hand or by ``dataclasses.replace``, is
+    walked here, and its period, displacement and phase order are
+    checked against the walk.
     """
-    board = Board(report.phases[0])
-    walk = [board.shape()]
-    for _ in range(report.period):
-        board.step()
-        walk.append(board.shape())
-    last_shape, last_box = walk[-1]
-    if last_shape != walk[0][0]:
-        raise ValueError("catalog entry does not recur at its stated period")
-    if last_box[:2] != report.displacement:
-        raise ValueError("catalog entry does not move by its stated displacement")
+    made_by, walk = report._walk or (None, None)
+    if made_by is not Board:
+        board = Board(report.phases[0])
+        walk = [board.shape()]
+        for _ in range(report.period):
+            board.step()
+            walk.append(board.shape())
+        last_shape, last_box = walk[-1]
+        if last_shape != walk[0][0]:
+            raise ValueError("catalog entry does not recur at its stated period")
+        if last_box[:2] != report.displacement:
+            raise ValueError("catalog entry does not move by its stated displacement")
+        for phase, (shape, _) in zip(report.phases, walk):
+            if shape != _cells_shape(phase):
+                raise ValueError("catalog entry phases are out of order")
     out = []
-    for i, phase in enumerate(report.phases):
+    for i in range(len(report.phases)):
         (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) = walk[i : i + 2]
-        if shape != _cells_shape(phase):
-            raise ValueError("catalog entry phases are out of order")
         entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
         out.append((shape, entry))
     return out
@@ -359,6 +380,11 @@ def detect_emissions(
     number of periods later, strictly farther from the non-matching
     main body than at first sighting.  Velocity is the measured anchor
     shift divided by the elapsed generations.
+
+    The catalog's phases are looked up by shape in a table read off the
+    walk each ship's report carries from detect_ship; a report built by
+    hand is walked once first, and refused (ValueError) unless it recurs
+    with its period, displacement and phases in order.
 
     Each generation's census state (the board's shape and its tracks,
     taken from the box corner) is compared with the last two saves of

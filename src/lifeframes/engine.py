@@ -327,19 +327,30 @@ def _extent(keys: np.ndarray) -> Box:
     return x0, int(np.minimum.reduce(ys)), x1, int(np.maximum.reduce(ys))
 
 
-def _shape(keys: np.ndarray, origin: Cell, bands=None) -> tuple[bytes, Box]:
-    """The bytes of non-empty sorted keys from their box corner, equal exactly
-    for translates, and their box on the plane.  Squeezed keys add, after 8
-    bytes of -1 (never a relative key), each band's gap and width."""
+def _key_shape(keys: np.ndarray) -> tuple[bytes, Box]:
+    """The bytes of non-empty sorted keys from their box corner, and their box
+    in field cells."""
     # Relative to the first key, keys could alias across the y field.
     x0, y0, x1, y1 = extent = _extent(keys)
-    shape = (keys - (x0 * _FIELD + y0)).tobytes()
-    if bands:
-        axes = np.sort(keys >> _FIELD_BITS), np.sort(keys & (_FIELD - 1))
-        gaps = [a.searchsorted(mid).tolist() for a, (mid, _) in zip(axes, bands)]
-        widths = [b - a for _, back in bands for a, b in zip(back, back[1:])]
-        shape += b"\xff" * 8 + repr((gaps, widths)).encode()
-    return shape, _plane(extent, origin, bands)
+    return (keys - (x0 * _FIELD + y0)).tobytes(), extent
+
+
+def _band_shape(keys: np.ndarray, bands) -> bytes:
+    """What squeezed keys add to their shape: after 8 bytes of -1 (never a
+    relative key), each band's gap and width; nothing if not squeezed."""
+    if not bands:
+        return b""
+    axes = np.sort(keys >> _FIELD_BITS), np.sort(keys & (_FIELD - 1))
+    gaps = [a.searchsorted(mid).tolist() for a, (mid, _) in zip(axes, bands)]
+    widths = [b - a for _, back in bands for a, b in zip(back, back[1:])]
+    return b"\xff" * 8 + repr((gaps, widths)).encode()
+
+
+def _shape(keys: np.ndarray, origin: Cell, bands=None) -> tuple[bytes, Box]:
+    """The shape of non-empty sorted keys, equal exactly for translates, and
+    their box on the plane."""
+    shape, extent = _key_shape(keys)
+    return shape + _band_shape(keys, bands), _plane(extent, origin, bands)
 
 
 def _cells_shape(p: Pattern) -> bytes:
@@ -428,7 +439,7 @@ class Board:
         if end < self.generation:
             raise ValueError("stepping back")
         first, count = self._start
-        saved = self._keys, self._origin, self._bands
+        saved, mark = (self._keys, self._origin, self._bands), None
         saved_at, power = self.generation, 1
         # Take, put and re-packing replace the keys, so a stale sort is unused.
         neighbors = self._sorted[1] if self._sorted[0] is self._keys else None
@@ -446,10 +457,15 @@ class Board:
                 raise ExplosiveGrowthError(f"{message} at generation {t}", t, size)
             if self.generation < end and self._keys.size == saved[0].size:
                 # Equal shapes of two packings are translates, fresh or not.
-                now = self._keys, self._origin, self._bands
-                (shape, (sx, sy, _, _)), (same, box) = _shape(*saved), _shape(*now)
-                if shape == same:
+                # The saved shape is read once, and a band part only past
+                # equal keys: the key bytes are the first 8 a cell.
+                shape, (sx, sy, _, _) = mark = mark or _shape(*saved)
+                same, extent = _key_shape(self._keys)
+                if shape.startswith(same) and shape[len(same) :] == _band_shape(
+                    self._keys, self._bands
+                ):
                     period = self.generation - saved_at
+                    box = _plane(extent, self._origin, self._bands)
                     dx, dy = box[0] - sx, box[1] - sy
                     cycles = (end - self.generation) // period
                     if dx or dy:  # a moving board jumps short of the 64-bit edge
@@ -459,7 +475,7 @@ class Board:
                     self._origin = ox + cycles * dx, oy + cycles * dy
                     self.generation += cycles * period
             if self.generation - saved_at == power:
-                saved = self._keys, self._origin, self._bands
+                saved, mark = (self._keys, self._origin, self._bands), None
                 saved_at, power = self.generation, 2 * power
         self.generation = end
 

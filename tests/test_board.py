@@ -554,12 +554,12 @@ def _moved(cells, dx, dy):
 
 
 def _spy(monkeypatch, log):
-    """Log each re-pack (with its generation), kernel step and shape."""
-    repack, evolve_np, evolve_py, shape = (
+    """Log each re-pack (with its generation), kernel step and moving jump."""
+    repack, evolve_np, evolve_py, clear_cycles = (
         Board._repack,
         engine._evolve_np,
         engine._evolve_py,
-        engine._shape,
+        engine._clear_cycles,
     )
 
     def spy_repack(self, *args, **kwargs):
@@ -574,15 +574,14 @@ def _spy(monkeypatch, log):
         log.append(("py",))
         return evolve_py(*args)
 
-    def spy_shape(*args):
-        made = shape(*args)
-        log.append(("shape", made[0]))
-        return made
+    def spy_clear_cycles(*args):
+        log.append(("jump",))
+        return clear_cycles(*args)
 
     monkeypatch.setattr(Board, "_repack", spy_repack)
     monkeypatch.setattr(engine, "_evolve_np", spy_np)
     monkeypatch.setattr(engine, "_evolve_py", spy_py)
-    monkeypatch.setattr(engine, "_shape", spy_shape)
+    monkeypatch.setattr(engine, "_clear_cycles", spy_clear_cycles)
 
 
 def _turned(cells, sign, shift):
@@ -682,10 +681,10 @@ class TestWindow:
         _spy(monkeypatch, log)
         assert step_n(p, 200) == expected
         assert _count(log, "repack") >= 2 and _count(log, "py") == 0
-        # A compare makes the saved board's shape, then the board's; the
-        # first pair that matches is the jump: generation g, the saved
-        # board at g - 4, and a re-pack in between.
-        jump = next(i for i, e in enumerate(log) if e[0] == "shape" and log[i - 1] == e)
+        # A moving board that jumps clears its cycles of the 64-bit edge:
+        # the first jump comes at generation g, the saved board at g - 4,
+        # with a re-pack in between.
+        jump = log.index(("jump",))
         g = _count(log[:jump], "np")
         assert any(e == ("repack", t) for e in log[:jump] for t in range(g - 4, g))
         assert _count(log, "np") < 200
@@ -1039,6 +1038,28 @@ class TestSqueeze:
         for _ in range(4):
             board.step()
             assert board.shape() == SMALL_FIELDS.Board(board.pattern()).shape()
+
+    def test_a_step_reads_a_saved_shape_once_and_bands_past_equal_keys(self, monkeypatch):
+        # Two gliders flying apart from 2**31 apart keep their population,
+        # so each generation is compared with the saved board, and their
+        # keys never recur: of 2 000 generations, only the 11 saves of
+        # Brent's search read a shape, with its band part.
+        reads = []
+
+        def spied(name):
+            read = getattr(engine, name)
+            return lambda *args: reads.append(name) or read(*args)
+
+        for name in ("_shape", "_band_shape"):
+            monkeypatch.setattr(engine, name, spied(name))
+        right = _moved(GLIDER_CELLS, 2**31, 0)
+        board = Board(Pattern(LEFT_GLIDER | right))
+        board.step(2000)
+        assert board._bands
+        assert reads.count("_shape") == reads.count("_band_shape") == 11
+        monkeypatch.undo()
+        alone = [step_n(Pattern(cells), 2000).cells for cells in (LEFT_GLIDER, right)]
+        assert board.pattern().cells == alone[0] | alone[1]
 
     @pytest.mark.parametrize("small", [False, True], ids=["fields31", "fields10"])
     @given(data=st.data())

@@ -258,10 +258,10 @@ def replay_calls(p, horizon, ships):
     """Each call of the replay rule as (generation, saved_at, boxes), and the
     board's box at each generation, read after each step of the census.
 
-    The ships' phase walks are made first, so every step is the census's.
+    The ships' reports carry the walks they were measured on, so every
+    step is the census's.
     """
     step, check, read, calls = Board.step, detector._replay_keeps_apart, [], []
-    walks = {id(r): detector._phase_entries(r) for r in ships if r.kind == "ship"}
 
     def stepped(board):
         step(board)
@@ -271,10 +271,9 @@ def replay_calls(p, horizon, ships):
         calls.append((len(read), saved_at, boxes))
         return check(retired, boxes, backs, saved_at, move)
 
-    with mock.patch.object(detector, "_phase_entries", lambda r: walks[id(r)]):
-        with mock.patch.object(Board, "step", stepped):
-            with mock.patch.object(detector, "_replay_keeps_apart", replay):
-                detect_emissions(p, horizon, ships)
+    with mock.patch.object(Board, "step", stepped):
+        with mock.patch.object(detector, "_replay_keeps_apart", replay):
+            detect_emissions(p, horizon, ships)
     return calls, [Board(p).box(), *read]
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import census_reference
 from cluster_reference import clusters
-from test_board import SMALL_FIELDS
+from test_board import SMALL_DETECTOR, SMALL_FIELDS
 from test_engine import crowded_cells
-from lifeframes.catalog import catalog_pattern, gun_battery, ship_catalog
+from lifeframes.catalog import catalog_pattern, gun_battery, named_ship_catalog, ship_catalog
 from lifeframes.detector import (
     EmissionEvent,
     ExplosiveGrowthError,
@@ -243,18 +243,88 @@ def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
     # A box too wide for the fields is squeezed alike, and its band's
     # width tells it from one a cell wider.
     assert _cells_shape(wide) == Board(wide).shape()[0] != _cells_shape(wider)
-    # A wide ship's phases are such shapes, and its walk checks them.
+    # A wide ship's phases are such shapes, in the walk its report
+    # carries and in the walk that checks a report without one.
     glider = catalog_pattern("glider")
     pair = Pattern(glider.cells | translate(glider, 2**31, 0).cells)
     report = detect_ship(pair, max_extent=2**32)
-    assert [_cells_shape(ph) for ph in report.phases] == [
-        shape for shape, _ in _phase_entries(report)
-    ]
+    for walked in (report, replace(report)):
+        assert [_cells_shape(ph) for ph in report.phases] == [
+            shape for shape, _ in _phase_entries(walked)
+        ]
     # A box that no squeeze fits is refused alike.
     row = SMALL_FIELDS.Pattern(frozenset((4 * k, 0) for k in range(300)))
     for make in (SMALL_FIELDS.Board, SMALL_FIELDS._cells_shape):
         with pytest.raises(SMALL_FIELDS.CoordinateOverflowError, match="fills the"):
             make(row)
+
+
+def _carried_walks():
+    """Reports that carry their walk: every catalog ship, each also measured
+    away from the origin, and two gliders 2**31 apart, a squeezed walk."""
+    named = [(f"{name} {i}", r) for i, (name, r) in enumerate(named_ship_catalog())]
+    moved = [(f"{name} moved", detect_ship(translate(r.phases[0], 100, -7))) for name, r in named]
+    glider = catalog_pattern("glider")
+    pair = Pattern(translate(glider, 5, -3).cells | translate(glider, 5 + 2**31, -3).cells)
+    return named + moved + [("glider pair 2**31 apart", detect_ship(pair, max_extent=2**32))]
+
+
+CARRIED = _carried_walks()
+
+
+class TestCarriedWalk:
+    """A report from detect_ship carries the walk it was measured on,
+    outside its value, and the census reads its table off that walk."""
+
+    @staticmethod
+    def _table(report):
+        return [
+            (shape, e.report, e.extent, e.step_offset, e.next_shape)
+            for shape, e in _phase_entries(report)
+        ]
+
+    @pytest.mark.parametrize("name, report", CARRIED, ids=[n for n, _ in CARRIED])
+    def test_the_table_equals_the_one_a_fresh_walk_makes(self, name, report):
+        twin = replace(report)
+        assert report._walk[0] is Board and twin._walk is None
+        assert len(report._walk[1]) == report.period + 1
+        assert self._table(report) == self._table(twin)
+
+    def test_a_walk_from_another_engine_is_walked_again(self):
+        # A report measured on 1 024-cell fields carries that engine's
+        # shapes, so this engine's census walks it as if it had none.
+        glider = SMALL_DETECTOR.detect_ship(catalog_pattern("glider"))
+        assert glider._walk[0] is SMALL_FIELDS.Board
+        assert self._table(glider) == self._table(replace(glider))
+        assert SMALL_DETECTOR._phase_entries(glider)[0][0] != _phase_entries(glider)[0][0]
+
+    @pytest.mark.parametrize("name, report", CARRIED, ids=[n for n, _ in CARRIED])
+    def test_the_walk_is_no_part_of_the_value(self, name, report):
+        twin = replace(report)
+        assert twin == report and hash(twin) == hash(report)
+        assert repr(twin) == repr(report)
+        assert [f.name for f in fields(report)] == ["period", "displacement", "phases"]
+        by_hand = ShipReport(report.period, report.displacement, report.phases)
+        assert by_hand == report and by_hand._walk is None
+
+    def test_a_census_steps_only_its_own_board(self, monkeypatch):
+        ships = ship_catalog()
+        built, stepped = [], set()
+        init, step = Board.__init__, Board.step
+
+        def spy_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def spy_step(self, *args):
+            stepped.add(id(self))
+            step(self, *args)
+
+        monkeypatch.setattr(Board, "__init__", spy_init)
+        monkeypatch.setattr(Board, "step", spy_step)
+        events = detect_emissions(catalog_pattern("gosper_gun"), 300, ships)
+        assert len(events) == 9
+        assert len(built) == 1 and stepped == {id(built[0])}
 
 
 class TestEmissionEvent:
