@@ -35,8 +35,8 @@ from .engine import (
     EmptyPatternError,
     ExplosiveGrowthError,
     Pattern,
-    _cells_shape,
     _checked_count,
+    _plain,
     translate,
 )
 
@@ -64,10 +64,10 @@ class ShipReport:
     period: int
     displacement: tuple[int, int]
     phases: tuple[Pattern, ...]
-    # The Board class that measured it, and the board's (shape, box from
-    # the start corner) at generations 0 to period: shapes are that
-    # engine's bytes.  Not a field, so it is no part of the report's value
-    # and a report built by hand has none.
+    # The Board class that measured it, and each generation's
+    # ``Board.shape()``, the shape and its box on the plane, from 0 to
+    # period: shapes are that engine's bytes.  Not a field, so it is no
+    # part of the report's value and a report built by hand has none.
     _walk = None
 
     @property
@@ -120,8 +120,9 @@ def detect_ship(
     squeeze fits in the packed fields, or at the signed 64-bit edge,
     raises CoordinateOverflowError at the generation it gets there.
 
-    The report keeps the walk it was measured on, outside its value, so
-    the census builds its table without walking the ship again.
+    The report keeps the walk it was measured on, each generation's
+    ``Board.shape()``, outside its value, so the census builds its table
+    without walking the ship again.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
@@ -130,15 +131,17 @@ def detect_ship(
     # Every comparison with nan is false, so nan is refused here too.
     if not 1 <= max_extent < math.inf:
         raise ValueError(f"max_extent must be finite and >= 1, not {max_extent!r}")
+    p = Pattern(_plain(p.cells), p.generation)
     board = Board(p, population_factor=population_factor)
-    first, (x0, y0, x1, y1) = board.shape()
+    walk = [board.shape()]
+    first, (x0, y0, _, _) = walk[0]
     phases = [translate(p, -x0, -y0)]
-    walk = [(first, (0, 0, x1 - x0, y1 - y0))]
     for t in range(1, max_period + 1):
         board.step()
         if not board.population:
             return None
-        shape, (min_x, min_y, max_x, max_y) = board.shape()
+        walk.append(board.shape())
+        shape, (min_x, min_y, max_x, max_y) = walk[-1]
         if max_x - min_x + 1 > max_extent or max_y - min_y + 1 > max_extent:
             raise ExplosiveGrowthError(
                 f"bounding box exceeds {max_extent} on a side "
@@ -146,7 +149,6 @@ def detect_ship(
                 t,
                 board.population,
             )
-        walk.append((shape, (min_x - x0, min_y - y0, max_x - x0, max_y - y0)))
         if shape == first:
             report = ShipReport(
                 period=t,
@@ -177,9 +179,15 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
     physical ship through consecutive generations.  It is the walk
     detect_ship measured the report on, with this engine's Board; a
     report without one, built by hand or by ``dataclasses.replace``, is
-    walked here, and its period, displacement and phase order are
-    checked against the walk.
+    walked here and checked: its period and displacement against the
+    walk, and its list of phase shapes against the walk's.  A report
+    without one phase per generation of a period of at least 1 is
+    refused before any walk.
     """
+    if not 0 < report.period == len(report.phases):
+        raise ValueError(
+            f"catalog entry has {len(report.phases)} phases for period {report.period}"
+        )
     made_by, walk = report._walk or (None, None)
     if made_by is not Board:
         board = Board(report.phases[0])
@@ -192,12 +200,10 @@ def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
             raise ValueError("catalog entry does not recur at its stated period")
         if last_box[:2] != report.displacement:
             raise ValueError("catalog entry does not move by its stated displacement")
-        for phase, (shape, _) in zip(report.phases, walk):
-            if shape != _cells_shape(phase):
-                raise ValueError("catalog entry phases are out of order")
+        if [Board(ph).shape()[0] for ph in report.phases] != [s for s, _ in walk[:-1]]:
+            raise ValueError("catalog entry phases are out of order")
     out = []
-    for i in range(len(report.phases)):
-        (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) = walk[i : i + 2]
+    for (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) in zip(walk, walk[1:]):
         entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
         out.append((shape, entry))
     return out
@@ -383,8 +389,9 @@ def detect_emissions(
 
     The catalog's phases are looked up by shape in a table read off the
     walk each ship's report carries from detect_ship; a report built by
-    hand is walked once first, and refused (ValueError) unless it recurs
-    with its period, displacement and phases in order.
+    hand is walked once first, and refused (ValueError) unless it has one
+    phase per generation of its period and recurs with that period, its
+    displacement and its phases in order.
 
     Each generation's census state (the board's shape and its tracks,
     taken from the box corner) is compared with the last two saves of

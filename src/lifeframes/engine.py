@@ -89,7 +89,11 @@ class ExplosiveGrowthError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pattern:
-    """A finite set of live cells plus a generation counter (an int)."""
+    """A finite set of live cells plus a generation counter (an int).
+
+    Coordinates are ints: ``step`` and ``Board`` take numpy integers as
+    ints and refuse any other coordinate with TypeError.
+    """
 
     cells: frozenset[Cell] = field(default_factory=frozenset)
     generation: int = 0
@@ -169,6 +173,7 @@ def _check_headroom(box: Box, generation: int) -> None:
 
 def step(p: Pattern) -> Pattern:
     """The next generation under B3/S23."""
+    p = Pattern(_plain(p.cells), p.generation)
     _check_headroom(bounding_box(p) if p.cells else (0, 0, 0, 0), p.generation)
     return Pattern(_evolve_py(p.cells), p.generation + 1)
 
@@ -353,17 +358,19 @@ def _shape(keys: np.ndarray, origin: Cell, bands=None) -> tuple[bytes, Box]:
     return shape + _band_shape(keys, bands), _plane(extent, origin, bands)
 
 
-def _cells_shape(p: Pattern) -> bytes:
-    """p's shape as ``Board.shape()`` makes it, without a board where its box fits."""
-    box = bounding_box(p)
-    return _pack(p.cells, box[:2]).tobytes() if _fits(box) else Board(p).shape()[0]
-
-
 def _checked_count(n: int, name: str) -> int:
     """n as a plain int (numpy integers too); TypeError for a bool or a non-integer."""
     if isinstance(n, bool) or not hasattr(type(n), "__index__"):
         raise TypeError(f"{name} must be an int, not {type(n).__name__}")
     return operator.index(n)
+
+
+def _plain(cells: frozenset[Cell]) -> frozenset[Cell]:
+    """cells with plain int coordinates, through ``_checked_count``: numpy
+    integers become ints, a bool or another non-integer raises TypeError."""
+    if all(type(x) is int is type(y) for x, y in cells):
+        return cells
+    return frozenset((_checked_count(x, "x"), _checked_count(y, "y")) for x, y in cells)
 
 
 def _check_factor(factor: float | None) -> None:
@@ -390,7 +397,7 @@ class Board:
     def __init__(self, p: Pattern, *, population_factor: float | None = None):
         _check_factor(population_factor)
         self.generation = p.generation
-        self._repack(p.cells)
+        self._repack(_plain(p.cells))
         self._sorted = None, None, None  # keys that bodies() split, their sort
         self._listed = None, None  # the table bodies() last read, its sizes
         self._start = (p.generation, len(p.cells))

@@ -1,6 +1,7 @@
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,12 +23,12 @@ from lifeframes.engine import (
     Board,
     EmptyPatternError,
     Pattern,
-    _cells_shape,
     _component_labels,
     _neighbor_sort,
     _pack,
     _unpack,
     bounding_box,
+    step,
     step_n,
     translate,
 )
@@ -216,8 +217,6 @@ class TestBodyLookup:
                 if listed[i]:
                     table[Board(Pattern(body)).shape()[0]] = i
             assert board.bodies(table) == looked_up(bodies, table)
-        for body in bodies:
-            assert _cells_shape(Pattern(body)) == Board(Pattern(body)).shape()[0]
 
     def test_sizes_absent_larger_bodies_and_no_match(self):
         ships = [r for r in ship_catalog() if r.kind == "ship"]
@@ -239,24 +238,24 @@ class TestBodyLookup:
 def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
     gaps = 2**31 - 3, 2**31 - 2, 2**31 - 1
     fits, wide, wider = [Pattern(frozenset({(0, 0), (gap, 1)})) for gap in gaps]
-    assert _cells_shape(fits) == Board(fits).shape()[0]
-    # A box too wide for the fields is squeezed alike, and its band's
-    # width tells it from one a cell wider.
-    assert _cells_shape(wide) == Board(wide).shape()[0] != _cells_shape(wider)
+    assert Board(fits).shape()[0] == _pack(fits.cells, (0, 0)).tobytes()
+    # A box too wide for the fields is squeezed alike wherever it lies,
+    # and its band's width tells it from one a cell wider.
+    squeezed = [Board(p).shape()[0] for p in (wide, translate(wide, -5, 2**40), wider)]
+    assert squeezed[0] == squeezed[1] != squeezed[2]
     # A wide ship's phases are such shapes, in the walk its report
     # carries and in the walk that checks a report without one.
     glider = catalog_pattern("glider")
     pair = Pattern(glider.cells | translate(glider, 2**31, 0).cells)
     report = detect_ship(pair, max_extent=2**32)
     for walked in (report, replace(report)):
-        assert [_cells_shape(ph) for ph in report.phases] == [
+        assert [Board(ph).shape()[0] for ph in report.phases] == [
             shape for shape, _ in _phase_entries(walked)
         ]
-    # A box that no squeeze fits is refused alike.
+    # A box that no squeeze fits is refused.
     row = SMALL_FIELDS.Pattern(frozenset((4 * k, 0) for k in range(300)))
-    for make in (SMALL_FIELDS.Board, SMALL_FIELDS._cells_shape):
-        with pytest.raises(SMALL_FIELDS.CoordinateOverflowError, match="fills the"):
-            make(row)
+    with pytest.raises(SMALL_FIELDS.CoordinateOverflowError, match="fills the"):
+        SMALL_FIELDS.Board(row)
 
 
 def _carried_walks():
@@ -325,6 +324,41 @@ class TestCarriedWalk:
         events = detect_emissions(catalog_pattern("gosper_gun"), 300, ships)
         assert len(events) == 9
         assert len(built) == 1 and stepped == {id(built[0])}
+
+
+def _far_gliders():
+    glider = catalog_pattern("glider")
+    return Pattern(glider.cells | translate(glider, 2**31, 0).cells)
+
+
+@pytest.mark.parametrize(
+    "kind, p, ship",
+    [
+        (kind, catalog_pattern(name), name == "glider")
+        for name in ("glider", "gosper_gun")
+        for kind in (int, np.int32, np.int64)
+    ]
+    # int32 cannot hold an offset of 2**31.
+    + [(np.int64, _far_gliders(), True)],
+    ids=[f"{n} {k}" for n in ("glider", "gun") for k in ("int", "int32", "int64")]
+    + ["gliders 2**31 apart int64"],
+)
+def test_numpy_integer_coordinates_are_taken_as_ints(kind, p, ship, ships):
+    q = Pattern(frozenset((kind(x), kind(y)) for x, y in p.cells))
+
+    def plain(cells):
+        return all(type(c) is int for cell in cells for c in cell)
+
+    for run in (step, lambda p: step_n(p, 60)):
+        stepped = run(q)
+        assert stepped == run(p) and plain(stepped.cells)
+    report = detect_ship(q, max_extent=2**32)
+    assert report == detect_ship(p, max_extent=2**32)
+    assert (report is not None) == ship
+    assert report is None or all(plain(ph.cells) for ph in report.phases)
+    events = detect_emissions(q, 300, ships)
+    assert events == detect_emissions(p, 300, ships)
+    assert plain(e.first_sighting for e in events)
 
 
 class TestEmissionEvent:
@@ -438,6 +472,21 @@ class TestDetectEmissions:
         assert (glider.period, glider.displacement) == (4, (1, 1))
         with pytest.raises(ValueError, match=message):
             detect_emissions(catalog_pattern("glider"), 20, [glider, change(glider)])
+
+    @pytest.mark.parametrize(
+        "period, count",
+        [(0, 0), (-4, 0), (4, 0), (4, 2), (4, 6)],
+        ids=["period 0", "period -4", "no phases", "2 phases", "6 phases"],
+    )
+    def test_a_catalog_entry_with_a_phase_count_other_than_its_period(
+        self, period, count
+    ):
+        # Two of the glider's phases would pass a phase-by-phase check
+        # and find no glider at all.
+        glider = detect_ship(catalog_pattern("glider"))
+        entry = ShipReport(period, (1, 1), (glider.phases * 2)[:count])
+        with pytest.raises(ValueError, match=f"has {count} phases for period {period}"):
+            detect_emissions(catalog_pattern("glider"), 40, [glider, entry])
 
     def test_a_catalog_listing_a_ship_twice_is_accepted(self, ships):
         glider = catalog_pattern("glider")

@@ -106,6 +106,15 @@ def test_step_n_zero_is_identity():
     assert step_n(p, 0) is p
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "whole float", "bool"])
+def test_a_coordinate_that_is_not_an_integer_is_refused(bad):
+    # Taken as it came, 0.5 made step and step_n disagree, and True was 1.
+    p = Pattern(BLINKER | {(bad, 9)})
+    for run in (step, lambda p: step_n(p, 1)):
+        with pytest.raises(TypeError, match="must be an int"):
+            run(p)
+
+
 def test_overflow_guard_near_coordinate_limit():
     p = Pattern(frozenset({(COORD_MAX, 0), (COORD_MAX, 1), (COORD_MAX - 1, 0)}))
     with pytest.raises(CoordinateOverflowError):
