@@ -9,16 +9,16 @@ measured from its own sightings rather than copied from the catalog.
 
 The ship detector and the census step the engine's packed ``Board``
 and compare its opaque canonical shapes.  The census's catalog table
-comes from the walk ``detect_ship`` made to measure each ship, which
-the report carries; a report built by hand is walked again, and checked.
-The board also splits itself into bodies for the census and looks
-them up in the census's catalog table, so no generation is unpacked
-into Python cell sets and this module holds only census policy: the
-table, the tracks, the escape rule and the velocities.  The census
-state is translation-equivariant, so once it repeats the census
-replays its remaining events exactly instead of stepping on.  A
-confirmed ship clear of the rest evolves alone, so it leaves the board
-until it comes near it again, and a board whose ships escape repeats.
+is one checked walk of each ship report, cached by the report's value,
+so a catalog used again is not walked again.  The board also splits
+itself into bodies for the census and looks them up in that table, so
+no generation is unpacked into Python cell sets and this module holds
+only census policy: the table, the tracks, the escape rule and the
+velocities.  The census state is translation-equivariant, so once it
+repeats the census replays its remaining events exactly instead of
+stepping on.  A confirmed ship clear of the rest evolves alone, so it
+leaves the board until it comes near it again, and a board whose ships
+escape repeats.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .engine import (
     MERGE_RADIUS,
@@ -36,7 +37,6 @@ from .engine import (
     ExplosiveGrowthError,
     Pattern,
     _checked_count,
-    _plain,
     translate,
 )
 
@@ -64,11 +64,6 @@ class ShipReport:
     period: int
     displacement: tuple[int, int]
     phases: tuple[Pattern, ...]
-    # The Board class that measured it, and each generation's
-    # ``Board.shape()``, the shape and its box on the plane, from 0 to
-    # period: shapes are that engine's bytes.  Not a field, so it is no
-    # part of the report's value and a report built by hand has none.
-    _walk = None
 
     @property
     def velocity(self) -> tuple[Fraction, Fraction]:
@@ -119,10 +114,6 @@ def detect_ship(
     that is nan, infinite or below 1 raises ValueError.  A board that no
     squeeze fits in the packed fields, or at the signed 64-bit edge,
     raises CoordinateOverflowError at the generation it gets there.
-
-    The report keeps the walk it was measured on, each generation's
-    ``Board.shape()``, outside its value, so the census builds its table
-    without walking the ship again.
     """
     if not p.cells:
         raise EmptyPatternError("cannot measure an empty pattern")
@@ -131,17 +122,14 @@ def detect_ship(
     # Every comparison with nan is false, so nan is refused here too.
     if not 1 <= max_extent < math.inf:
         raise ValueError(f"max_extent must be finite and >= 1, not {max_extent!r}")
-    p = Pattern(_plain(p.cells), p.generation)
     board = Board(p, population_factor=population_factor)
-    walk = [board.shape()]
-    first, (x0, y0, _, _) = walk[0]
+    first, (x0, y0, _, _) = board.shape()
     phases = [translate(p, -x0, -y0)]
     for t in range(1, max_period + 1):
         board.step()
         if not board.population:
             return None
-        walk.append(board.shape())
-        shape, (min_x, min_y, max_x, max_y) = walk[-1]
+        shape, (min_x, min_y, max_x, max_y) = board.shape()
         if max_x - min_x + 1 > max_extent or max_y - min_y + 1 > max_extent:
             raise ExplosiveGrowthError(
                 f"bounding box exceeds {max_extent} on a side "
@@ -150,13 +138,11 @@ def detect_ship(
                 board.population,
             )
         if shape == first:
-            report = ShipReport(
+            return ShipReport(
                 period=t,
                 displacement=(min_x - x0, min_y - y0),
                 phases=tuple(phases),
             )
-            object.__setattr__(report, "_walk", (Board, tuple(walk)))
-            return report
         phases.append(translate(board.pattern(), -min_x, -min_y))
     return None
 
@@ -171,42 +157,43 @@ class _PhaseEntry:
     next_shape: bytes
 
 
-def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
-    """Each phase's shape and step, read off one full period's walk.
+# The built-in catalog holds 8 ship reports.
+@lru_cache(maxsize=64)
+def _phase_steps(report: ShipReport) -> tuple[tuple[bytes, Cell, Cell, bytes], ...]:
+    """Each phase's shape, extent, step offset and next shape, read off
+    one period's walk from the report's first phase: the census follows a
+    ship by where its corner moves each generation.
 
-    The walk gives, from the engine itself, where each phase's corner
-    moves on the next generation; the census needs that to follow one
-    physical ship through consecutive generations.  It is the walk
-    detect_ship measured the report on, with this engine's Board; a
-    report without one, built by hand or by ``dataclasses.replace``, is
-    walked here and checked: its period and displacement against the
-    walk, and its list of phase shapes against the walk's.  A report
-    without one phase per generation of a period of at least 1 is
-    refused before any walk.
+    A report needs one phase per generation of a period of at least 1,
+    checked before any walk, and must recur with that period, move by its
+    displacement and list its phases in the walk's order, or ValueError.
+    A refusal is not cached, so it is raised again on every call.
     """
     if not 0 < report.period == len(report.phases):
         raise ValueError(
             f"catalog entry has {len(report.phases)} phases for period {report.period}"
         )
-    made_by, walk = report._walk or (None, None)
-    if made_by is not Board:
-        board = Board(report.phases[0])
-        walk = [board.shape()]
-        for _ in range(report.period):
-            board.step()
-            walk.append(board.shape())
-        last_shape, last_box = walk[-1]
-        if last_shape != walk[0][0]:
-            raise ValueError("catalog entry does not recur at its stated period")
-        if last_box[:2] != report.displacement:
-            raise ValueError("catalog entry does not move by its stated displacement")
-        if [Board(ph).shape()[0] for ph in report.phases] != [s for s, _ in walk[:-1]]:
-            raise ValueError("catalog entry phases are out of order")
-    out = []
-    for (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) in zip(walk, walk[1:]):
-        entry = _PhaseEntry(report, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
-        out.append((shape, entry))
-    return out
+    board = Board(report.phases[0])
+    walk = [board.shape()]
+    for _ in range(report.period):
+        board.step()
+        walk.append(board.shape())
+    last_shape, last_box = walk[-1]
+    if last_shape != walk[0][0]:
+        raise ValueError("catalog entry does not recur at its stated period")
+    if last_box[:2] != report.displacement:
+        raise ValueError("catalog entry does not move by its stated displacement")
+    if [Board(ph).shape()[0] for ph in report.phases] != [s for s, _ in walk[:-1]]:
+        raise ValueError("catalog entry phases are out of order")
+    return tuple(
+        (shape, (x1 - x0, y1 - y0), (x - x0, y - y0), next_shape)
+        for (shape, (x0, y0, x1, y1)), (next_shape, (x, y, _, _)) in zip(walk, walk[1:])
+    )
+
+
+def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
+    """Each phase's shape with its step, in an entry that holds report itself."""
+    return [(shape, _PhaseEntry(report, *step)) for shape, *step in _phase_steps(report)]
 
 
 def _box(anchor: Cell, extent: Cell) -> Box:
@@ -387,11 +374,11 @@ def detect_emissions(
     main body than at first sighting.  Velocity is the measured anchor
     shift divided by the elapsed generations.
 
-    The catalog's phases are looked up by shape in a table read off the
-    walk each ship's report carries from detect_ship; a report built by
-    hand is walked once first, and refused (ValueError) unless it has one
-    phase per generation of its period and recurs with that period, its
-    displacement and its phases in order.
+    The catalog's phases are looked up by shape in a table read off one
+    walk of each ship's report, cached by the report's value; a report is
+    refused (ValueError) unless it has one phase per generation of its
+    period and recurs with that period, its displacement and its phases
+    in order.  Each event's ship is the catalog's own report.
 
     Each generation's census state (the board's shape and its tracks,
     taken from the box corner) is compared with the last two saves of

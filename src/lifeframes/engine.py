@@ -91,8 +91,9 @@ class ExplosiveGrowthError(RuntimeError):
 class Pattern:
     """A finite set of live cells plus a generation counter (an int).
 
-    Coordinates are ints: ``step`` and ``Board`` take numpy integers as
-    ints and refuse any other coordinate with TypeError.
+    Coordinates are ints: ``step``, ``Board``, ``translate`` and
+    ``canonicalize`` take numpy integers as ints and refuse any other
+    coordinate with TypeError.
     """
 
     cells: frozenset[Cell] = field(default_factory=frozenset)
@@ -126,8 +127,9 @@ def bounding_box(p: Pattern) -> tuple[int, int, int, int]:
 
 
 def translate(p: Pattern, dx: int, dy: int) -> Pattern:
+    dx, dy = _checked_count(dx, "dx"), _checked_count(dy, "dy")
     return Pattern(
-        frozenset((x + dx, y + dy) for x, y in p.cells), p.generation
+        frozenset((x + dx, y + dy) for x, y in _plain(p.cells)), p.generation
     )
 
 
@@ -139,6 +141,7 @@ def canonicalize(p: Pattern) -> tuple[Pattern, Cell]:
     """
     if not p.cells:
         raise EmptyPatternError("cannot canonicalize an empty pattern")
+    p = Pattern(_plain(p.cells), p.generation)
     min_x, min_y, _, _ = bounding_box(p)
     if (min_x, min_y) == (0, 0):
         return p, (0, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .engine import Pattern
+from .engine import Pattern, _plain
 
 __all__ = [
     "PatternDocument",
@@ -78,11 +78,14 @@ class PatternDocument:
         name: str | None = None,
         comments: tuple[str, ...] = (),
     ) -> "PatternDocument":
+        """p's document, moved to the origin; numpy integer coordinates are
+        taken as ints and any other non-int is refused with TypeError."""
         if p.cells:
-            xs = [x for x, _ in p.cells]
-            ys = [y for _, y in p.cells]
+            cells = _plain(p.cells)
+            xs = [x for x, _ in cells]
+            ys = [y for _, y in cells]
             min_x, min_y = min(xs), min(ys)
-            cells = frozenset((x - min_x, y - min_y) for x, y in p.cells)
+            cells = frozenset((x - min_x, y - min_y) for x, y in cells)
             width = max(xs) - min_x + 1
             height = max(ys) - min_y + 1
         else:

@@ -16,6 +16,7 @@ from lifeframes.detector import (
     ExplosiveGrowthError,
     ShipReport,
     _phase_entries,
+    _phase_steps,
     detect_emissions,
     detect_ship,
 )
@@ -243,8 +244,8 @@ def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
     # and its band's width tells it from one a cell wider.
     squeezed = [Board(p).shape()[0] for p in (wide, translate(wide, -5, 2**40), wider)]
     assert squeezed[0] == squeezed[1] != squeezed[2]
-    # A wide ship's phases are such shapes, in the walk its report
-    # carries and in the walk that checks a report without one.
+    # A wide ship's phases are such shapes, in the census's table of its
+    # report and of an equal one.
     glider = catalog_pattern("glider")
     pair = Pattern(glider.cells | translate(glider, 2**31, 0).cells)
     report = detect_ship(pair, max_extent=2**32)
@@ -259,8 +260,8 @@ def test_a_shape_without_a_board_fits_the_fields_as_a_board_does():
 
 
 def _carried_walks():
-    """Reports that carry their walk: every catalog ship, each also measured
-    away from the origin, and two gliders 2**31 apart, a squeezed walk."""
+    """Every catalog ship, each also measured away from the origin, and
+    two gliders 2**31 apart, a squeezed walk."""
     named = [(f"{name} {i}", r) for i, (name, r) in enumerate(named_ship_catalog())]
     moved = [(f"{name} moved", detect_ship(translate(r.phases[0], 100, -7))) for name, r in named]
     glider = catalog_pattern("glider")
@@ -272,29 +273,38 @@ CARRIED = _carried_walks()
 
 
 class TestCarriedWalk:
-    """A report from detect_ship carries the walk it was measured on,
-    outside its value, and the census reads its table off that walk."""
+    """The census's ship table is one checked walk of a report, cached by
+    the report's value; each entry holds the report it was asked for."""
 
     @staticmethod
     def _table(report):
+        table = _phase_entries(report)
+        assert all(e.report is report for _, e in table)
         return [
             (shape, e.report, e.extent, e.step_offset, e.next_shape)
-            for shape, e in _phase_entries(report)
+            for shape, e in table
         ]
 
     @pytest.mark.parametrize("name, report", CARRIED, ids=[n for n, _ in CARRIED])
     def test_the_table_equals_the_one_a_fresh_walk_makes(self, name, report):
         twin = replace(report)
-        assert report._walk[0] is Board and twin._walk is None
-        assert len(report._walk[1]) == report.period + 1
-        assert self._table(report) == self._table(twin)
+        by_hand = ShipReport(report.period, report.displacement, report.phases)
+        assert self._table(report) == self._table(twin) == self._table(by_hand)
+        fresh = _phase_steps.__wrapped__(by_hand)
+        assert [(s, report, *steps) for s, *steps in fresh] == self._table(report)
+        assert len(fresh) == report.period
 
     def test_a_walk_from_another_engine_is_walked_again(self):
-        # A report measured on 1 024-cell fields carries that engine's
-        # shapes, so this engine's census walks it as if it had none.
+        # A report measured on 1 024-cell fields is of that engine's
+        # ShipReport class, so it never shares a cache entry with this
+        # engine's equal report, and each engine walks it with its Board.
         glider = SMALL_DETECTOR.detect_ship(catalog_pattern("glider"))
-        assert glider._walk[0] is SMALL_FIELDS.Board
+        ours = detect_ship(catalog_pattern("glider"))
+        assert glider != ours
         assert self._table(glider) == self._table(replace(glider))
+        assert [row[2:] for row in self._table(glider)] == [
+            row[2:] for row in self._table(ours)
+        ]
         assert SMALL_DETECTOR._phase_entries(glider)[0][0] != _phase_entries(glider)[0][0]
 
     @pytest.mark.parametrize("name, report", CARRIED, ids=[n for n, _ in CARRIED])
@@ -304,10 +314,14 @@ class TestCarriedWalk:
         assert repr(twin) == repr(report)
         assert [f.name for f in fields(report)] == ["period", "displacement", "phases"]
         by_hand = ShipReport(report.period, report.displacement, report.phases)
-        assert by_hand == report and by_hand._walk is None
+        assert by_hand == report and vars(by_hand) == vars(report)
 
     def test_a_census_steps_only_its_own_board(self, monkeypatch):
-        ships = ship_catalog()
+        # The first census walks the catalog; the second finds every
+        # walk cached.
+        _phase_steps.cache_clear()
+        gun, ships = catalog_pattern("gosper_gun"), ship_catalog()
+        assert len(detect_emissions(gun, 300, ship_catalog())) == 9
         built, stepped = [], set()
         init, step = Board.__init__, Board.step
 
@@ -321,9 +335,36 @@ class TestCarriedWalk:
 
         monkeypatch.setattr(Board, "__init__", spy_init)
         monkeypatch.setattr(Board, "step", spy_step)
-        events = detect_emissions(catalog_pattern("gosper_gun"), 300, ships)
+        events = detect_emissions(gun, 300, ships)
         assert len(events) == 9
         assert len(built) == 1 and stepped == {id(built[0])}
+
+    def test_events_hold_the_catalogs_own_reports(self):
+        # An equal catalog built afresh hits the cache, yet its census
+        # names its own reports, not those the cache was filled from.
+        gun = catalog_pattern("gosper_gun")
+        first, second = ship_catalog(), ship_catalog()
+        assert first == second
+        events = detect_emissions(gun, 300, first)
+        again = detect_emissions(gun, 300, second)
+        assert again == events and len(again) == 9
+        assert all(any(e.ship is r for r in second) for e in again)
+        assert not any(e.ship is r for e in again for r in first)
+
+    def test_a_refusal_is_not_cached(self):
+        glider = detect_ship(catalog_pattern("glider"))
+        wrong = replace(glider, displacement=(1, -1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not move by"):
+                detect_emissions(catalog_pattern("glider"), 20, [glider, wrong])
+
+    @pytest.mark.parametrize("field", ["phases", "displacement"])
+    def test_an_unhashable_report_is_refused(self, field):
+        # The table is cached by the report's value, so a report needs one.
+        glider = detect_ship(catalog_pattern("glider"))
+        entry = replace(glider, **{field: list(getattr(glider, field))})
+        with pytest.raises(TypeError, match="unhashable"):
+            detect_emissions(catalog_pattern("glider"), 20, [glider, entry])
 
 
 def _far_gliders():

@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,24 @@ def test_a_coordinate_that_is_not_an_integer_is_refused(bad):
     for run in (step, lambda p: step_n(p, 1)):
         with pytest.raises(TypeError, match="must be an int"):
             run(p)
+
+
+@pytest.mark.parametrize("kind", [np.int32, np.int64])
+def test_translate_and_canonicalize_take_numpy_integers_as_ints(kind):
+    # In numpy's arithmetic each wrapped around at the int32 edge.
+    lo, hi = kind(-(2**31)), kind(2**31 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = translate(Pattern(frozenset({(hi, kind(0))})), 1, kind(hi))
+        canon, offset = canonicalize(Pattern(frozenset({(lo, kind(0)), (lo + 1, kind(0))})))
+    assert moved == Pattern(frozenset({(2**31, 2**31 - 1)}))
+    assert canon == Pattern(frozenset({(0, 0), (1, 0)})) and offset == (-(2**31), 0)
+    ints = [c for p in (moved, canon) for cell in p.cells for c in cell]
+    assert all(type(c) is int for c in ints + list(offset))
+    with pytest.raises(TypeError, match="must be an int"):
+        canonicalize(Pattern(frozenset({(0.5, 0)})))
+    with pytest.raises(TypeError, match="dx must be an int"):
+        translate(Pattern(BLINKER), 0.5, 0)
 
 
 def test_overflow_guard_near_coordinate_limit():

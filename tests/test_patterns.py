@@ -1,5 +1,7 @@
 import time
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -164,6 +166,19 @@ class TestEmitRle:
             Pattern(frozenset({(0, 0), (1, 0), (0, 4), (1, 4)}))
         )
         assert "4$" in emit_rle(doc)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integer_coordinates_are_taken_as_ints(self, kind):
+        # In numpy's arithmetic an int32 row from -2**31 to 2**31 - 1
+        # wrapped around to width 0 and a cell at x = -1.
+        ends = Pattern(frozenset({(kind(-(2**31)), kind(0)), (kind(2**31 - 1), kind(0))}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = PatternDocument.from_pattern(ends)
+        assert doc.cells == {(0, 0), (2**32 - 1, 0)} and (doc.width, doc.height) == (2**32, 1)
+        assert all(type(c) is int for cell in doc.cells for c in cell)
+        with pytest.raises(TypeError, match="must be an int"):
+            PatternDocument.from_pattern(Pattern(frozenset({(0.5, 0)})))
 
     def test_empty_pattern(self):
         text = emit_rle(PatternDocument.from_pattern(Pattern()))
