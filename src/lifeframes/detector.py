@@ -37,6 +37,7 @@ from .engine import (
     ExplosiveGrowthError,
     Pattern,
     _checked_count,
+    _plain,
     translate,
 )
 
@@ -192,7 +193,10 @@ def _phase_steps(report: ShipReport) -> tuple[tuple[bytes, Cell, Cell, bytes], .
 
 
 def _phase_entries(report: ShipReport) -> list[tuple[bytes, _PhaseEntry]]:
-    """Each phase's shape with its step, in an entry that holds report itself."""
+    """Each phase's shape with its step, in an entry that holds report itself;
+    a float or bool cell is refused first, as the cache takes 1.0 for 1."""
+    for phase in report.phases:
+        _plain(phase.cells)
     return [(shape, _PhaseEntry(report, *step)) for shape, *step in _phase_steps(report)]
 
 
@@ -303,12 +307,13 @@ def _replay_keeps_apart(retired, boxes, backs, saved_at: int, move: Cell) -> boo
     """Whether replaying whole periods keeps every retired ship off the board.
 
     boxes holds the board's box (or None) of each generation of the
-    period from saved_at, and backs each ship put back since saved_at and
-    when; one retired before the period and back in it refuses.  In a
-    retired ship's frame, each later period moves on by w = move − period·v
-    the board's boxes, the box each ship retired and back in the period
-    swept, and each ship retired in the period and still off, which
-    _clear follows; each needs a side that widens.
+    period from saved_at, and backs each ship put back and when, those
+    put back before saved_at being skipped; one retired before the
+    period and back in it refuses.  In a retired ship's frame, each
+    later period moves on by w = move − period·v the board's boxes, the
+    box each ship retired and back in the period swept, and each ship
+    retired in the period and still off, which _clear follows; each
+    needs a side that widens.
     """
     if any(o.generation < saved_at < t for o, t in backs):
         return False
@@ -381,13 +386,12 @@ def detect_emissions(
     in order.  Each event's ship is the catalog's own report.
 
     Each generation's census state (the board's shape and its tracks,
-    taken from the box corner) is compared with the last two saves of
-    Brent's search, made at generations 2^k − 1.  Once it repeats one
-    of them with period P and move m, each later generation confirms
-    the events of P generations before, born P later and first sighted
-    m away: those are replayed as unchecked copies and the stepping stops.
-    The board's box of every generation and the ships put back are kept
-    from the older save on, and the replay rule reads one whole period of boxes.
+    taken from the box corner) is compared, oldest first, with every save
+    at its population of Brent's search, made at generations 2^k − 1.
+    Once it repeats one the replay rule accepts, with period P and move
+    m, each later generation confirms the events of P generations before,
+    born P later and first sighted m away: those are replayed as
+    unchecked copies and the stepping stops.
 
     Escaped ships leave the board, so the gun's census repeats too
     (period 30: its state saved at 15 is seen at 45, and the 23-gun
@@ -432,16 +436,13 @@ def detect_emissions(
     # Live tracks keyed by the sighting each should make next.
     tracks: dict[tuple[bytes, Cell], _Track] = {}
     # Ships off the board, keyed like tracks; the board's box of each
-    # generation and the ships put back, and when, since the older save.
+    # generation and the ships put back, and when.
     retired: dict[tuple[bytes, Cell], _Retired] = {}
     boxes: list[Box | None] = []
     backs: list[tuple[_Retired, int]] = []
-    # Brent's cycle search: the last two saved census states, older
-    # first, each with when it was saved and its population; a new one
-    # is saved whenever the generations since the newer reach a power of
-    # two, so at 0, 1, 3, 7 and so on.
-    power = 1
-    saves = [(0, board.population, _census_state(board, tracks, 0))]
+    # Brent's cycle search: each census state saved at 2^k − 1 (0, 1, 3,
+    # 7 and so on) with when, filed by population, oldest first.
+    saves: dict[int, list[tuple[int, tuple]]] = {}
     for generation in range(horizon + 1):
         box = board.box()
         boxes.append(box)
@@ -452,10 +453,10 @@ def detect_emissions(
                 tracks[key] = _Track(generation, key[1], None, confirmed=True)
         retired = {_next(phases[s], a): ship for (s, a), ship in retired.items()}
         here = replay = None
-        if generation > saves[-1][0] and board.population in {n for _, n, _ in saves}:
+        if board.population in saves:
             here = state, (cx, cy) = _census_state(board, tracks, generation)
-            for saved_at, _, (saved, (sx, sy)) in saves:
-                span, move = boxes[saved_at - saves[0][0] : -1], (cx - sx, cy - sy)
+            for saved_at, (saved, (sx, sy)) in saves[board.population]:
+                span, move = boxes[saved_at:-1], (cx - sx, cy - sy)
                 if state == saved and _replay_keeps_apart(
                     retired.values(), span, backs, saved_at, move
                 ):
@@ -471,12 +472,9 @@ def detect_emissions(
                     if t + k * period <= horizon
                 ]
             break
-        if generation - saves[-1][0] == power:
+        if generation & (generation + 1) == 0:
             here = here or _census_state(board, tracks, generation)
-            del boxes[: saves[-1][0] - saves[0][0]]
-            saves = [saves[-1], (generation, board.population, here)]
-            power *= 2
-            backs = [(o, t) for o, t in backs if t >= saves[0][0]]
+            saves.setdefault(board.population, []).append((generation, here))
         matched, body = board.bodies(phases)
         following: dict[tuple[bytes, Cell], _Track] = {}
         for (shape, anchor), entry in matched.items():

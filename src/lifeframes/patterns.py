@@ -78,14 +78,15 @@ class PatternDocument:
         name: str | None = None,
         comments: tuple[str, ...] = (),
     ) -> "PatternDocument":
-        """p's document, moved to the origin; numpy integer coordinates are
-        taken as ints and any other non-int is refused with TypeError."""
+        """p's document, its cells moved to the origin if not there; numpy
+        integers are taken as ints and any other non-int is refused (TypeError)."""
         if p.cells:
             cells = _plain(p.cells)
             xs = [x for x, _ in cells]
             ys = [y for _, y in cells]
             min_x, min_y = min(xs), min(ys)
-            cells = frozenset((x - min_x, y - min_y) for x, y in cells)
+            if min_x or min_y:
+                cells = frozenset((x - min_x, y - min_y) for x, y in cells)
             width = max(xs) - min_x + 1
             height = max(ys) - min_y + 1
         else:
@@ -230,9 +231,7 @@ def _rle_body_tokens(doc: PatternDocument) -> list[str]:
 
 def emit_rle(doc: PatternDocument) -> str:
     """Canonical RLE: origin-translated minimal box, maximal runs."""
-    doc = PatternDocument.from_pattern(
-        Pattern(doc.cells), name=doc.name, comments=doc.comments
-    )
+    doc = PatternDocument.from_pattern(doc.to_pattern(), doc.name, doc.comments)
     lines: list[str] = []
     if doc.name is not None:
         lines.append(f"#N {doc.name}")
@@ -290,9 +289,7 @@ def parse_plaintext(text: str) -> PatternDocument:
 
 def emit_plaintext(doc: PatternDocument) -> str:
     """Canonical plaintext over the minimal bounding box."""
-    doc = PatternDocument.from_pattern(
-        Pattern(doc.cells), name=doc.name, comments=doc.comments
-    )
+    doc = PatternDocument.from_pattern(doc.to_pattern(), doc.name, doc.comments)
     lines: list[str] = []
     if doc.name is not None:
         lines.append(f"!Name: {doc.name}")

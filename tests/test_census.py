@@ -310,6 +310,22 @@ class TestRetirement:
                 events, split = splits(turned, horizon, ships)
                 assert (len(events), split) == (count, 45), (a, b, c, d, horizon)
 
+    def test_the_gun_tries_each_save_oldest_first(self, ships):
+        # At 37 the state saved at 7 is seen again, but the board's boxes
+        # at 7 and 8, a period on, come within 3 cells of the glider
+        # retired at 36, so the rule refuses; the next save, at 15, is
+        # seen again at 45, and the rule accepts it.
+        check, asked = detector._replay_keeps_apart, []
+
+        def replay(*args):
+            asked.append((args[3], len(args[1]), check(*args)))
+            return asked[-1][2]
+
+        with mock.patch.object(detector, "_replay_keeps_apart", replay):
+            events = detect_emissions(Pattern(GUN), 2000, ships)
+        assert len(events) == 66
+        assert asked == [(7, 30, False), (15, 30, True)]
+
     def test_gliders_meeting_head_on(self, ships):
         # Both gliders are confirmed at generation 4, well apart, but only
         # the first leaves the board: the second closes on it.  The first
@@ -399,10 +415,10 @@ class TestRetirement:
         ],
     )
     def test_split_and_event_counts(self, ships, name, split, count):
-        # The census compares each state with its last two saves and
-        # replays from the first the rule accepts.  It keeps the board's
-        # box of every generation since the older save, so no period
-        # lacks one: the gun replays from the state saved at 15, the
+        # The census compares each state with every save at its
+        # population, oldest first, and replays from the first the rule
+        # accepts.  It keeps the board's box of every generation, so no
+        # period lacks one: the gun replays from the state saved at 15, the
         # mirrored guns from 63 at 123, the others from 63 at 93.
         events, made = splits(SCENES[name], 400, ships)
         assert (made, len(events)) == (split, count)

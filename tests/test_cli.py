@@ -51,6 +51,21 @@ class TestRun:
         assert out.startswith(expected)
         assert "generation 4, population 5" in out
 
+    def test_the_evolved_cells_are_moved_once(self, capsys, glider_file, monkeypatch):
+        # The glider ends a cell down and right, so the output document
+        # moves its cells to the origin, and emit_rle keeps them as they are.
+        made, moved = PatternDocument.from_pattern.__func__, []
+
+        def spy(cls, p, *args, **kwargs):
+            doc = made(cls, p, *args, **kwargs)
+            moved.append(doc.cells is not p.cells)
+            return doc
+
+        monkeypatch.setattr(PatternDocument, "from_pattern", classmethod(spy))
+        code, out, err = run_cli(capsys, "run", glider_file, "--gens", "4")
+        assert code == 0 and out.startswith(GLIDER_RLE)
+        assert moved == [True, False]
+
     def test_out_file_receives_the_rle(self, capsys, glider_file, tmp_path):
         target = tmp_path / "evolved.rle"
         code, out, err = run_cli(

@@ -358,6 +358,38 @@ class TestCarriedWalk:
             with pytest.raises(ValueError, match="does not move by"):
                 detect_emissions(catalog_pattern("glider"), 20, [glider, wrong])
 
+    @staticmethod
+    def _glider_as(kind):
+        """The glider's report with each phase's coordinates made kind."""
+        glider = detect_ship(catalog_pattern("glider"))
+        phases = tuple(
+            Pattern(frozenset((kind(x), kind(y)) for x, y in ph.cells), ph.generation)
+            for ph in glider.phases
+        )
+        return glider, replace(glider, phases=phases)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_float_phase_is_refused_whatever_the_cache_holds(self, warm):
+        # 1.0 == 1, so the float report equals the glider's and would hit
+        # the table cached for it.
+        glider, floats = self._glider_as(float)
+        assert floats == glider and hash(floats) == hash(glider)
+        _phase_steps.cache_clear()
+        if warm:
+            self._table(glider)
+        with pytest.raises(TypeError, match="x must be an int, not float"):
+            _phase_entries(floats)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_numpy_integer_phases_get_the_int_reports_table(self, kind, warm):
+        glider, wide = self._glider_as(kind)
+        _phase_steps.cache_clear()
+        if warm:
+            self._table(glider)
+        assert self._table(wide) == self._table(glider)
+        assert _phase_steps.cache_info().currsize == 1
+
     @pytest.mark.parametrize("field", ["phases", "displacement"])
     def test_an_unhashable_report_is_refused(self, field):
         # The table is cached by the report's value, so a report needs one.

@@ -180,6 +180,15 @@ class TestEmitRle:
         with pytest.raises(TypeError, match="must be an int"):
             PatternDocument.from_pattern(Pattern(frozenset({(0.5, 0)})))
 
+    def test_a_box_declared_wider_than_the_cells_is_emitted_minimal(self):
+        # The cells' corner is already at the origin, so they are kept as
+        # they are, but the box is still measured from them.
+        doc = parse_rle("x = 6, y = 5, rule = B3/S23\nbo$2bo$3o!\n")
+        assert (doc.width, doc.height) == (6, 5)
+        assert emit_rle(doc) == GLIDER_RLE
+        again = PatternDocument.from_pattern(doc.to_pattern())
+        assert again.cells is doc.cells and (again.width, again.height) == (3, 3)
+
     def test_empty_pattern(self):
         text = emit_rle(PatternDocument.from_pattern(Pattern()))
         assert text == "x = 0, y = 0, rule = B3/S23\n!\n"
@@ -231,6 +240,19 @@ class TestPlaintext:
     def test_emit_round_trip(self):
         text = emit_plaintext(parse_plaintext(".O.\n..O\nOOO\n"))
         assert text == ".O.\n..O\nOOO\n"
+
+    def test_name_and_comments_survive(self):
+        doc = PatternDocument.from_pattern(
+            Pattern(GLIDER_CELLS), name="Glider", comments=("the usual",)
+        )
+        text = emit_plaintext(doc)
+        assert text == "!Name: Glider\n!the usual\n.O.\n..O\nOOO\n"
+        again = parse_plaintext(text)
+        assert (again.name, again.comments, again.cells) == (
+            "Glider",
+            ("the usual",),
+            GLIDER_CELLS,
+        )
 
     @given(small_cells())
     def test_round_trip_cells(self, cells):
